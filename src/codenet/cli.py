@@ -17,7 +17,6 @@ from . import memsim
 from .container import (ContainerError, image_to_float, load_graph, read_image,
                         save_graph)
 from .detect import decode, find_peaks
-from .ops import ConvSpec
 from .quant import QuantParams, quantize
 
 
@@ -95,23 +94,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: pass --op or --table2", file=sys.stderr)
         return 1
     try:
-        half, op = args.op.split("_", 1)
-        if half not in ("full", "dw") or op not in ("default", "deform", "bound", "square"):
-            raise ValueError(args.op)
-        depthwise = half == "dw"
-        h, w, ic, oc = dims
-        if depthwise:
-            dims = (h, w, ic, ic)
-        spec = ConvSpec(3, 1, depthwise, 1)
-        rng = np.random.default_rng([args.seed, 0 if half == "full" else 1,
-                                     ("default", "deform", "bound", "square").index(op)])
-        off = memsim._ablation_offsets(op, h, w, rng)
-        trace = memsim.gen_trace(spec, off, dims)
+        trace, mems = memsim.ablation_case(args.op, dims, args.seed)
         if args.design:
             mem = memsim.MemConfig(design=args.design, ports=3 if args.design == memsim.LINE_BUFFER_MULTIPORT else 1,
                                    line_buffer_rows=args.rows, llc_routed=bool(args.llc))
         else:
-            mem = memsim._ablation_mem(op, bool(args.llc), llc_seed=args.seed + 1)
+            mem = mems[args.llc]
         report = memsim.simulate(trace, mem, eng)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,13 +14,14 @@ containers round-trip byte exactly.
 """
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .graph import LayerNode, NetworkGraph
+from .graph import GraphError, LayerNode, NetworkGraph
 from .quant import PER_CHANNEL, PER_LAYER, QuantParams, RequantParams
 from .tensor import FloatTensor, QuantTensor, Shape4
 
@@ -66,25 +67,28 @@ def read_container(path: str) -> list[Chunk]:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise ContainerError("bad magic; not a model container")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise ContainerError(f"unsupported container version {version}")
     chunks = []
-    pos = 6
-    while pos < len(blob):
-        if pos + 3 > len(blob):
-            raise ContainerError("truncated chunk header")
-        kind, name_len = struct.unpack_from("<BH", blob, pos)
-        pos += 3
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (payload_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        payload = blob[pos:pos + payload_len]
-        if len(payload) != payload_len:
-            raise ContainerError(f"truncated payload in chunk '{name}'")
-        pos += payload_len
-        chunks.append(Chunk(kind, name, payload))
+    try:
+        (version,) = struct.unpack_from("<H", blob, 4)
+        if version != VERSION:
+            raise ContainerError(f"unsupported container version {version}")
+        pos = 6
+        while pos < len(blob):
+            kind, name_len = struct.unpack_from("<BH", blob, pos)
+            pos += 3
+            name = blob[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (payload_len,) = struct.unpack_from("<I", blob, pos)
+            pos += 4
+            payload = blob[pos:pos + payload_len]
+            if len(payload) != payload_len:
+                raise ContainerError(f"truncated payload in chunk '{name}'")
+            pos += payload_len
+            chunks.append(Chunk(kind, name, payload))
+    except struct.error as e:
+        raise ContainerError(f"truncated header: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ContainerError(f"chunk name is not utf-8: {e}") from e
     return chunks
 
 
@@ -128,17 +132,24 @@ def tensor_chunk(name: str, arr: np.ndarray, dtype_code: int) -> Chunk:
 
 
 def parse_tensor(chunk: Chunk) -> np.ndarray:
-    dtype_code, rank = struct.unpack_from("<BB", chunk.payload, 0)
-    dims = struct.unpack_from(f"<{rank}I", chunk.payload, 2)
+    try:
+        dtype_code, rank = struct.unpack_from("<BB", chunk.payload, 0)
+        dims = struct.unpack_from(f"<{rank}I", chunk.payload, 2)
+    except struct.error as e:
+        raise ContainerError(f"tensor '{chunk.name}': truncated header") from e
     body = chunk.payload[2 + 4 * rank:]
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)
     if dtype_code == DTYPE_I4:
-        arr = unpack_i4(body, count)
+        nbytes = (count + 1) // 2
+    elif dtype_code in _DTYPES:
+        nbytes = count * np.dtype(_DTYPES[dtype_code]).itemsize
     else:
-        arr = np.frombuffer(body, dtype=_DTYPES[dtype_code]).copy()
-    if arr.size != count:
+        raise ContainerError(f"tensor '{chunk.name}': unknown dtype code {dtype_code}")
+    if len(body) != nbytes:
         raise ContainerError(f"tensor '{chunk.name}': payload does not match dims {dims}")
-    return arr.reshape(dims)
+    if dtype_code == DTYPE_I4:
+        return unpack_i4(body, count).reshape(dims)
+    return np.frombuffer(body, dtype=_DTYPES[dtype_code]).copy().reshape(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +178,29 @@ def qparams_chunk(name: str, wq: QuantParams | None, rp: RequantParams | None) -
 
 def parse_qparams(chunk: Chunk) -> tuple[QuantParams | None, RequantParams | None]:
     p = chunk.payload
-    bits, gran, ngroups = struct.unpack_from("<BBI", p, 0)
-    pos = 6
-    wq = None
-    if bits:
-        t = np.frombuffer(p, dtype="<f8", count=ngroups, offset=pos)
-        pos += 8 * ngroups
-        wq = QuantParams(bits, PER_CHANNEL if gran else PER_LAYER, t.copy())
-    has_rp, n = struct.unpack_from("<BI", p, pos)
-    pos += 5
-    rp = None
-    if has_rp:
-        mult = np.frombuffer(p, dtype="<u4", count=n, offset=pos).astype(np.int64)
-        pos += 4 * n
-        shift = np.frombuffer(p, dtype="<u1", count=n, offset=pos).astype(np.int64)
-        pos += n
-        bias = np.frombuffer(p, dtype="<i4", count=n, offset=pos).astype(np.int64)
-        pos += 4 * n
-        out_delta, relu = struct.unpack_from("<dB", p, pos)
-        rp = RequantParams(mult, shift, bias, out_delta=out_delta, relu=bool(relu))
+    try:
+        bits, gran, ngroups = struct.unpack_from("<BBI", p, 0)
+        pos = 6
+        wq = None
+        if bits:
+            t = np.frombuffer(p, dtype="<f8", count=ngroups, offset=pos)
+            pos += 8 * ngroups
+            wq = QuantParams(bits, PER_CHANNEL if gran else PER_LAYER, t.copy())
+        has_rp, n = struct.unpack_from("<BI", p, pos)
+        pos += 5
+        rp = None
+        if has_rp:
+            mult = np.frombuffer(p, dtype="<u4", count=n, offset=pos).astype(np.int64)
+            pos += 4 * n
+            shift = np.frombuffer(p, dtype="<u1", count=n, offset=pos).astype(np.int64)
+            pos += n
+            bias = np.frombuffer(p, dtype="<i4", count=n, offset=pos).astype(np.int64)
+            pos += 4 * n
+            out_delta, relu = struct.unpack_from("<dB", p, pos)
+            rp = RequantParams(mult, shift, bias, out_delta=out_delta, relu=bool(relu))
+    except (struct.error, ValueError) as e:
+        # short payloads, and parameters the quantizer types reject
+        raise ContainerError(f"quantization parameters '{chunk.name}': {e}") from e
     return wq, rp
 
 
@@ -207,7 +222,7 @@ def _descriptor_text(g: NetworkGraph) -> str:
     for n in g.nodes:
         fields = [f"kind={n.kind}", "inputs=" + ",".join(n.inputs),
                   f"ic={n.ic}", f"oc={n.oc}", f"stride={n.stride}", f"relu={int(n.relu)}"]
-        if n.kind == "dw3x3_deform":
+        if n.deformable:
             fields += [f"offset_mode={n.offset_mode}", f"offset_lo={n.offset_lo}",
                        f"offset_hi={n.offset_hi}", f"offset_path={n.offset_path}"]
         lines.append(f"node {n.name} " + " ".join(fields))
@@ -222,103 +237,101 @@ def save_graph(path: str, g: NetworkGraph) -> None:
         if g.precision == "fp32":
             chunks.append(tensor_chunk(n.name + "/w", n.w_fp, DTYPE_F32))
             chunks.append(tensor_chunk(n.name + "/b", n.b_fp, DTYPE_F32))
-            if n.kind == "dw3x3_deform":
+            if n.deformable:
                 chunks.append(tensor_chunk(n.name + "/off_w", n.off_w_fp, DTYPE_F32))
                 chunks.append(tensor_chunk(n.name + "/off_b", n.off_b_fp, DTYPE_F32))
         else:
             chunks.append(tensor_chunk(n.name + "/w", n.w_q.data, DTYPE_I4))
             chunks.append(qparams_chunk(n.name, n.w_q.qparams, n.rp))
-            if n.kind == "dw3x3_deform":
+            if n.deformable:
                 chunks.append(tensor_chunk(n.name + "/off_w", n.off_w_q.data, DTYPE_I4))
                 chunks.append(qparams_chunk(n.name + "/off", n.off_w_q.qparams, n.off_rp))
     write_container(path, chunks)
 
 
-def _parse_descriptor(text: str) -> tuple[dict[str, str], list[LayerNode]]:
+def _parse_descriptor(text: str) -> NetworkGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("codenet-graph"):
         raise ContainerError("missing graph descriptor header")
     meta: dict[str, str] = {}
     nodes: list[LayerNode] = []
-    for ln in lines[1:]:
-        if ln.startswith("node "):
-            _, name, *pairs = ln.split()
-            kv = dict(p.split("=", 1) for p in pairs)
-            nodes.append(LayerNode(
-                name=name,
-                kind=kv["kind"],
-                inputs=tuple(kv["inputs"].split(",")),
-                ic=int(kv["ic"]),
-                oc=int(kv["oc"]),
-                stride=int(kv["stride"]),
-                relu=bool(int(kv["relu"])),
-                offset_mode=kv.get("offset_mode", ops.BOUNDED_INT),
-                offset_lo=int(kv.get("offset_lo", -8)),
-                offset_hi=int(kv.get("offset_hi", 7)),
-                offset_path=kv.get("offset_path", "requant"),
-            ))
-        else:
-            key, value = ln.split(maxsplit=1)
-            meta[key] = value
-    return meta, nodes
+    try:
+        for ln in lines[1:]:
+            if ln.startswith("node "):
+                _, name, *pairs = ln.split()
+                kv = dict(p.split("=", 1) for p in pairs)
+                nodes.append(LayerNode(
+                    name=name,
+                    kind=kv["kind"],
+                    inputs=tuple(kv["inputs"].split(",")),
+                    ic=int(kv["ic"]),
+                    oc=int(kv["oc"]),
+                    stride=int(kv["stride"]),
+                    relu=bool(int(kv["relu"])),
+                    offset_mode=kv.get("offset_mode", ops.BOUNDED_INT),
+                    offset_lo=int(kv.get("offset_lo", -8)),
+                    offset_hi=int(kv.get("offset_hi", 7)),
+                    offset_path=kv.get("offset_path", "requant"),
+                ))
+            else:
+                key, value = ln.split(maxsplit=1)
+                meta[key] = value
+        return NetworkGraph(
+            nodes,
+            config=meta["config"],
+            resolution=int(meta["resolution"]),
+            width_mult=int(meta["width_mult"]),
+            downsample=meta["downsample"],
+            classes=int(meta["classes"]),
+            precision=meta["precision"],
+            input_delta=float(meta["input_delta"]),
+        )
+    except KeyError as e:
+        raise ContainerError(f"graph descriptor lacks {e}") from e
+    except ValueError as e:
+        raise ContainerError(f"malformed graph descriptor: {e}") from e
 
 
 def load_graph(path: str) -> NetworkGraph:
     chunks = read_container(path)
     by_name: dict[tuple[int, str], Chunk] = {(c.kind, c.name): c for c in chunks}
-    desc = by_name.get((CHUNK_DESCRIPTOR, "graph"))
-    if desc is None:
-        raise ContainerError("container has no graph descriptor")
-    meta, nodes = _parse_descriptor(desc.payload.decode("utf-8"))
-    precision = meta["precision"]
 
-    def weight_shape(n: LayerNode, off: bool) -> tuple[int, ...]:
-        if off:
-            return (n.ic, 1, 1, 1 if n.offset_mode == ops.SQUARE else 18)
-        if n.kind == "conv1x1":
-            return (n.ic, 1, 1, n.oc)
-        if n.kind in ("dw3x3", "dw3x3_deform"):
-            return (1, 3, 3, n.oc)
-        return (n.ic, 3, 3, n.oc)
+    def chunk(kind: int, name: str) -> Chunk:
+        try:
+            return by_name[(kind, name)]
+        except KeyError:
+            raise ContainerError(f"container has no chunk '{name}'") from None
 
-    out_nodes = []
-    for n in nodes:
-        nn = replace(n)
-        if n.is_conv:
-            w_chunk = by_name.get((CHUNK_TENSOR, n.name + "/w"))
-            if w_chunk is None:
-                raise ContainerError(f"missing weights for node '{n.name}'")
-            w = parse_tensor(w_chunk).reshape(weight_shape(n, off=False))
-            if precision == "fp32":
-                nn.w_fp = w.astype(np.float32)
-                nn.b_fp = parse_tensor(by_name[(CHUNK_TENSOR, n.name + "/b")]).astype(np.float32)
-                if n.kind == "dw3x3_deform":
-                    nn.off_w_fp = parse_tensor(by_name[(CHUNK_TENSOR, n.name + "/off_w")]).reshape(
-                        weight_shape(n, off=True)).astype(np.float32)
-                    nn.off_b_fp = parse_tensor(by_name[(CHUNK_TENSOR, n.name + "/off_b")]).astype(np.float32)
+    try:
+        g = _parse_descriptor(chunk(CHUNK_DESCRIPTOR, "graph").payload.decode("utf-8"))
+        g.lint()
+    except UnicodeDecodeError as e:
+        raise ContainerError(f"graph descriptor is not utf-8: {e}") from e
+    except GraphError as e:
+        raise ContainerError(str(e)) from e
+
+    for n in g.nodes:
+        if not n.is_conv:
+            continue
+        try:
+            w = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/w")).reshape(n.weight_shape)
+            if g.precision == "fp32":
+                n.w_fp = w.astype(np.float32)
+                n.b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/b")).astype(np.float32)
+                if n.deformable:
+                    n.off_w_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_w")).reshape(
+                        n.offset_weight_shape).astype(np.float32)
+                    n.off_b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_b")).astype(np.float32)
             else:
-                wq, rp = parse_qparams(by_name[(CHUNK_QPARAMS, n.name)])
-                nn.w_q = QuantTensor(Shape4(*w.shape), w, bits=4, qparams=wq)
-                nn.rp = rp
-                if n.kind == "dw3x3_deform":
-                    off_w = parse_tensor(by_name[(CHUNK_TENSOR, n.name + "/off_w")]).reshape(
-                        weight_shape(n, off=True))
-                    off_qp, off_rp = parse_qparams(by_name[(CHUNK_QPARAMS, n.name + "/off")])
-                    nn.off_w_q = QuantTensor(Shape4(*off_w.shape), off_w, bits=4, qparams=off_qp)
-                    nn.off_rp = off_rp
-        out_nodes.append(nn)
-
-    g = NetworkGraph(
-        out_nodes,
-        config=meta["config"],
-        resolution=int(meta["resolution"]),
-        width_mult=int(meta["width_mult"]),
-        downsample=meta["downsample"],
-        classes=int(meta["classes"]),
-        precision=precision,
-        input_delta=float(meta["input_delta"]),
-    )
-    g.lint()
+                wq, n.rp = parse_qparams(chunk(CHUNK_QPARAMS, n.name))
+                n.w_q = QuantTensor(Shape4(*w.shape), w, bits=4, qparams=wq)
+                if n.deformable:
+                    off_w = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_w")).reshape(n.offset_weight_shape)
+                    off_qp, n.off_rp = parse_qparams(chunk(CHUNK_QPARAMS, n.name + "/off"))
+                    n.off_w_q = QuantTensor(Shape4(*off_w.shape), off_w, bits=4, qparams=off_qp)
+        except ValueError as e:
+            # weights that do not fit the node's shape or code range
+            raise ContainerError(f"node '{n.name}': {e}") from e
     return g
 
 
@@ -342,6 +355,8 @@ def read_image(path: str) -> np.ndarray:
         blob = f.read()
     if blob[:4] != IMAGE_MAGIC:
         raise ContainerError("bad magic; not a raw image file")
+    if len(blob) < 16:
+        raise ContainerError("truncated image header")
     h, w, c = struct.unpack_from("<III", blob, 4)
     data = np.frombuffer(blob, dtype=np.uint8, offset=16)
     if data.size != h * w * c:

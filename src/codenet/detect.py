@@ -6,7 +6,7 @@ across classes and are scaled into input pixels by the output stride R.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,13 @@ class Detection:
                 f"{self.x2:.6f} {self.y2:.6f} {self.confidence:.6f}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
     class_id: int
     x1: float
     y1: float
     x2: float
     y2: float
-    matched: bool = field(default=False, compare=False)
 
     @property
     def box(self) -> tuple[float, float, float, float]:
@@ -146,22 +145,21 @@ def ap50(
     aps = []
     for cls in classes:
         gts = [g for g in ground_truths if g.class_id == cls]
-        for g in gts:
-            g.matched = False
+        matched = [False] * len(gts)
         dets = [d for d in detections if d.class_id == cls]
         order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
         tps = np.zeros(len(order))
         fps = np.zeros(len(order))
         for rank, i in enumerate(order):
             best, best_iou = None, iou_threshold
-            for g in gts:
-                if g.matched:
+            for j, g in enumerate(gts):
+                if matched[j]:
                     continue
                 v = iou(dets[i].box, g.box)
                 if v >= best_iou:
-                    best, best_iou = g, v
+                    best, best_iou = j, v
             if best is not None:
-                best.matched = True
+                matched[best] = True
                 tps[rank] = 1
             else:
                 fps[rank] = 1

@@ -11,18 +11,15 @@ Nodes with two outputs (split) publish them as ``name#0`` and ``name#1``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from . import ops
-from .quant import (PER_CHANNEL, PER_LAYER, QuantParams, RequantParams, calibrate,
-                    derive_requant, quantize, round_half_away)
+from .quant import PER_CHANNEL, RequantParams, calibrate, derive_requant, quantize
 from .tensor import FloatTensor, QuantTensor, Shape4
-
-CONV_KINDS = ("conv1x1", "dw3x3", "dw3x3_deform", "full3x3_first")
-PASS_KINDS = ("maxpool2x2", "upsample2x_nearest", "split_half", "concat", "shuffle")
-ALLOWED_KINDS = CONV_KINDS + PASS_KINDS
 
 # Backbone stage widths for the 1x network and their doubled 2x variant.
 STAGE_WIDTHS = {1: (24, 116, 232, 464), 2: (48, 232, 464, 928)}
@@ -46,6 +43,120 @@ CONFIGS = {
 
 class GraphError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Operator kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OpKind:
+    """What differs between operator kinds; everything else is derived.
+
+    ``run_q(node, inputs)`` runs the integer kernel, looked up on ``ops`` at
+    call time; ``run_f(node, inputs, record)`` the float64 reference, which
+    for convs returns sums before bias and relu. Conv kinds give ``kernel``,
+    from which a node derives its ConvSpec, weight shapes and cost;
+    pass-through kinds give ``shape``, mapping input (h, w, c) to output.
+    """
+
+    run_q: Callable
+    run_f: Callable
+    kernel: int = 0
+    depthwise: bool = False
+    deformable: bool = False
+    shape: Callable | None = None
+    arity: int = 1
+
+
+def _float_conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("nhwi,io->nhwo", x, w[:, 0, 0, :].astype(np.float64))
+
+
+def _float_tensors(x: np.ndarray, w: np.ndarray) -> tuple[FloatTensor, FloatTensor]:
+    return FloatTensor(Shape4(*x.shape), x), FloatTensor(Shape4(*w.shape), w)
+
+
+def _float_conv3x3(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarray:
+    return ops.conv_ref(*_float_tensors(xs[0], n.w_fp), n.spec).data.astype(np.float64)
+
+
+def _deform_q(n: LayerNode, xs: list[QuantTensor]) -> QuantTensor:
+    off = ops.offset_gen(xs[0], n.off_w_q, n.off_rp, n.offset_mode,
+                         n.offset_lo, n.offset_hi, path=n.offset_path)
+    return ops.deform_conv_q(xs[0], n.w_q, off, n.spec, n.rp)
+
+
+def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarray:
+    """Offsets are rounded and clipped exactly as in deployment."""
+    raw = record(n.name + "/off", _float_conv1x1(xs[0], n.off_w_fp) + n.off_b_fp)
+    off = ops.round_clip_offsets(raw, n.offset_mode, n.offset_lo, n.offset_hi)
+    disp = off.displacements().astype(np.float64)
+    if off.mode == ops.SQUARE:
+        # square displacements are absolute tap positions around the center;
+        # express them as deltas from the regular grid
+        disp = disp - ops.TAPS
+    fr = ops.OffsetField(ops.FREE_FRAC, disp)
+    return ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), fr, n.spec).data.astype(np.float64)
+
+
+def _maxpool_f(x: np.ndarray) -> np.ndarray:
+    nb, hh, ww, cc = x.shape
+    return x.reshape(nb, hh // 2, 2, ww // 2, 2, cc).max(axis=(2, 4))
+
+
+def _split_f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half = x.shape[-1] // 2
+    return x[..., :half], x[..., half:]
+
+
+def _shuffle_f(x: np.ndarray) -> np.ndarray:
+    nb, hh, ww, cc = x.shape
+    return x.reshape(nb, hh, ww, 2, cc // 2).swapaxes(3, 4).reshape(nb, hh, ww, cc)
+
+
+def _split_shape(s: tuple[int, int, int]) -> tuple[int, int, int]:
+    if s[2] % 2:
+        raise ValueError("split needs an even channel count")
+    return (s[0], s[1], s[2] // 2)
+
+
+KINDS: dict[str, OpKind] = {
+    "conv1x1": OpKind(
+        run_q=lambda n, xs: ops.conv1x1_q(xs[0], n.w_q, n.rp),
+        run_f=lambda n, xs, record: _float_conv1x1(xs[0], n.w_fp),
+        kernel=1),
+    "dw3x3": OpKind(
+        run_q=lambda n, xs: ops.dw3x3_q(xs[0], n.w_q, n.spec, n.rp),
+        run_f=_float_conv3x3, kernel=3, depthwise=True),
+    "dw3x3_deform": OpKind(run_q=_deform_q, run_f=_deform_f, kernel=3, depthwise=True, deformable=True),
+    # The stem: the one full convolution; it runs on the host processor.
+    "full3x3_first": OpKind(
+        run_q=lambda n, xs: ops.conv3x3_full_q(xs[0], n.w_q, n.spec, n.rp),
+        run_f=_float_conv3x3, kernel=3),
+    "maxpool2x2": OpKind(
+        run_q=lambda n, xs: ops.maxpool2x2(xs[0]),
+        run_f=lambda n, xs, record: _maxpool_f(xs[0]),
+        shape=lambda s: (s[0] // 2, s[1] // 2, s[2])),
+    "upsample2x_nearest": OpKind(
+        run_q=lambda n, xs: ops.upsample2x_nearest(xs[0]),
+        run_f=lambda n, xs, record: np.repeat(np.repeat(xs[0], 2, axis=1), 2, axis=2),
+        shape=lambda s: (2 * s[0], 2 * s[1], s[2])),
+    "split_half": OpKind(
+        run_q=lambda n, xs: ops.split_half(xs[0]),
+        run_f=lambda n, xs, record: _split_f(xs[0]),
+        shape=_split_shape),
+    "concat": OpKind(
+        run_q=lambda n, xs: ops.concat(xs[0], xs[1]),
+        run_f=lambda n, xs, record: np.concatenate(xs, axis=-1),
+        shape=lambda a, b: (a[0], a[1], a[2] + b[2]), arity=2),
+    "shuffle": OpKind(
+        run_q=lambda n, xs: ops.shuffle(xs[0]),
+        run_f=lambda n, xs, record: _shuffle_f(xs[0]),
+        shape=lambda s: s),
+}
+ALLOWED_KINDS = tuple(KINDS)
+CONV_KINDS = tuple(k for k, v in KINDS.items() if v.kernel)
 
 
 @dataclass
@@ -78,6 +189,25 @@ class LayerNode:
         return self.kind in CONV_KINDS
 
     @property
+    def deformable(self) -> bool:
+        """Whether the node generates sampling offsets with a 1x1 convolution."""
+        return self.is_conv and KINDS[self.kind].deformable
+
+    @property
+    def spec(self) -> ops.ConvSpec:
+        k = KINDS[self.kind]
+        return ops.ConvSpec(k.kernel, self.stride, k.depthwise, k.kernel // 2)
+
+    @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        spec = self.spec
+        return (1 if spec.depthwise else self.ic, spec.kernel, spec.kernel, self.oc)
+
+    @property
+    def offset_weight_shape(self) -> tuple[int, int, int, int]:
+        return (self.ic, 1, 1, ops.offset_channels(self.offset_mode))
+
+    @property
     def output_names(self) -> tuple[str, ...]:
         if self.kind == "split_half":
             return (self.name + "#0", self.name + "#1")
@@ -108,19 +238,41 @@ class NetworkGraph:
         """Validate operator kinds, wiring and channel bookkeeping."""
         known = {"input"}
         for n in self.nodes:
-            if n.kind not in ALLOWED_KINDS:
+            if n.kind not in KINDS:
                 raise GraphError(f"node '{n.name}': kind {n.kind!r} is not a supported operator")
+            if len(n.inputs) != KINDS[n.kind].arity:
+                raise GraphError(f"node '{n.name}': {n.kind} takes {KINDS[n.kind].arity} input(s)")
             for src in n.inputs:
                 if src not in known:
                     raise GraphError(f"node '{n.name}': input '{src}' is not defined earlier (cycle or typo)")
-            if n.kind in ("dw3x3", "dw3x3_deform") and n.ic != n.oc:
-                raise GraphError(f"node '{n.name}': depthwise needs ic == oc")
-            if n.kind == "split_half" and n.ic % 2:
-                raise GraphError(f"node '{n.name}': split needs an even channel count")
             known.update(n.output_names)
+        _out_shapes(self)
 
 
-def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _out_shapes(g: NetworkGraph) -> dict[str, tuple[int, int, int]]:
+    """(h, w, c) of every value at the configured input resolution; raises
+    GraphError naming the first node whose parameters do not fit."""
+    shapes = {"input": (g.resolution, g.resolution, 3)}
+    for n in g.nodes:
+        ins = [shapes[i] for i in n.inputs]
+        try:
+            if n.is_conv:
+                spec = n.spec
+                if spec.depthwise and n.ic != n.oc:
+                    raise ValueError("depthwise needs ic == oc")
+                if n.stride != 1 and (spec.kernel == 1 or n.deformable):
+                    raise ValueError(f"{n.kind} runs at stride 1 only")
+                out = (*spec.out_hw(*ins[0][:2]), n.oc)
+            else:
+                out = KINDS[n.kind].shape(*ins)
+        except ValueError as e:
+            raise GraphError(f"node '{n.name}': {e}") from None
+        shapes.update(dict.fromkeys(n.output_names, out))
+    return shapes
+
+
+def _he_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    fan_in = math.prod(shape[:-1])
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
 
 
@@ -135,27 +287,18 @@ class _Builder:
         self.nodes.append(node)
         return node.name
 
-    def conv1x1(self, name: str, src: str, ic: int, oc: int, relu: bool) -> str:
-        w = _he_init(self.rng, (ic, 1, 1, oc), ic)
-        b = np.zeros(oc, dtype=np.float32)
-        return self.add(LayerNode(name, "conv1x1", (src,), ic=ic, oc=oc, relu=relu, w_fp=w, b_fp=b))
-
-    def dw3x3(self, name: str, src: str, c: int, stride: int, relu: bool = False) -> str:
-        w = _he_init(self.rng, (1, 3, 3, c), 9)
-        b = np.zeros(c, dtype=np.float32)
-        return self.add(LayerNode(name, "dw3x3", (src,), ic=c, oc=c, stride=stride, relu=relu, w_fp=w, b_fp=b))
-
-    def dw3x3_deform(self, name: str, src: str, c: int, relu: bool) -> str:
-        w = _he_init(self.rng, (1, 3, 3, c), 9)
-        b = np.zeros(c, dtype=np.float32)
-        off_ch = 1 if self.offset_mode == ops.SQUARE else 18
-        off_w = _he_init(self.rng, (c, 1, 1, off_ch), c)
-        off_b = np.zeros(off_ch, dtype=np.float32)
-        return self.add(LayerNode(
-            name, "dw3x3_deform", (src,), ic=c, oc=c, relu=relu,
-            w_fp=w, b_fp=b, off_w_fp=off_w, off_b_fp=off_b,
-            offset_mode=self.offset_mode, offset_lo=self.offset_lo, offset_hi=self.offset_hi,
-        ))
+    def conv(self, name: str, kind: str, src: str, ic: int, oc: int,
+             stride: int = 1, relu: bool = False) -> str:
+        """Conv node with He-initialized weights, then offset weights when
+        the kind is deformable, and zero biases."""
+        n = LayerNode(name, kind, (src,), ic=ic, oc=oc, stride=stride, relu=relu)
+        n.w_fp = _he_init(self.rng, n.weight_shape)
+        n.b_fp = np.zeros(oc, dtype=np.float32)
+        if n.deformable:
+            n.offset_mode, n.offset_lo, n.offset_hi = self.offset_mode, self.offset_lo, self.offset_hi
+            n.off_w_fp = _he_init(self.rng, n.offset_weight_shape)
+            n.off_b_fp = np.zeros(n.offset_weight_shape[-1], dtype=np.float32)
+        return self.add(n)
 
 
 def build_codenet(
@@ -173,11 +316,8 @@ def build_codenet(
     dec_c = DECODER_WIDTHS[mult]
     b = _Builder(seed, offset_mode, offset_range)
 
-    # Stem: the one full convolution; it runs on the host processor.
     stem_stride = 4 if downsample == "stride4" else 2
-    w = _he_init(b.rng, (3, 3, 3, stem_c), 27)
-    cur = b.add(LayerNode("stem", "full3x3_first", ("input",), ic=3, oc=stem_c,
-                          stride=stem_stride, relu=True, w_fp=w, b_fp=np.zeros(stem_c, dtype=np.float32)))
+    cur = b.conv("stem", "full3x3_first", "input", 3, stem_c, stride=stem_stride, relu=True)
     if downsample == "stride2_maxpool":
         cur = b.add(LayerNode("stem_pool", "maxpool2x2", (cur,), ic=stem_c, oc=stem_c))
 
@@ -186,20 +326,20 @@ def build_codenet(
         half = out_c // 2
         p = f"s{si}"
         # Downsampling block: both branches see the stage input.
-        b1 = b.dw3x3(f"{p}d_b1dw", cur, in_c, stride=2)
-        b1 = b.conv1x1(f"{p}d_b1pw", b1, in_c, half, relu=True)
-        b2 = b.conv1x1(f"{p}d_b2pw1", cur, in_c, half, relu=True)
-        b2 = b.dw3x3(f"{p}d_b2dw", b2, half, stride=2)
-        b2 = b.conv1x1(f"{p}d_b2pw2", b2, half, half, relu=True)
+        b1 = b.conv(f"{p}d_b1dw", "dw3x3", cur, in_c, in_c, stride=2)
+        b1 = b.conv(f"{p}d_b1pw", "conv1x1", b1, in_c, half, relu=True)
+        b2 = b.conv(f"{p}d_b2pw1", "conv1x1", cur, in_c, half, relu=True)
+        b2 = b.conv(f"{p}d_b2dw", "dw3x3", b2, half, half, stride=2)
+        b2 = b.conv(f"{p}d_b2pw2", "conv1x1", b2, half, half, relu=True)
         cur = b.add(LayerNode(f"{p}d_cat", "concat", (b1, b2), ic=out_c, oc=out_c))
         cur = b.add(LayerNode(f"{p}d_shuf", "shuffle", (cur,), ic=out_c, oc=out_c))
         for bi in range(1, blocks):
             q = f"{p}b{bi}"
             sp = b.add(LayerNode(f"{q}_split", "split_half", (cur,), ic=out_c, oc=half))
             keep, work = sp + "#0", sp + "#1"
-            work = b.conv1x1(f"{q}_pw1", work, half, half, relu=True)
-            work = b.dw3x3(f"{q}_dw", work, half, stride=1)
-            work = b.conv1x1(f"{q}_pw2", work, half, half, relu=True)
+            work = b.conv(f"{q}_pw1", "conv1x1", work, half, half, relu=True)
+            work = b.conv(f"{q}_dw", "dw3x3", work, half, half)
+            work = b.conv(f"{q}_pw2", "conv1x1", work, half, half, relu=True)
             cur = b.add(LayerNode(f"{q}_cat", "concat", (keep, work), ic=out_c, oc=out_c))
             cur = b.add(LayerNode(f"{q}_shuf", "shuffle", (cur,), ic=out_c, oc=out_c))
         in_c = out_c
@@ -207,14 +347,14 @@ def build_codenet(
     # Decoder: three deformable upsampling blocks back to stride 4.
     for di, out_c in enumerate(dec_c, start=1):
         p = f"up{di}"
-        cur = b.conv1x1(f"{p}_pw", cur, in_c, out_c, relu=True)
-        cur = b.dw3x3_deform(f"{p}_dfm", cur, out_c, relu=True)
+        cur = b.conv(f"{p}_pw", "conv1x1", cur, in_c, out_c, relu=True)
+        cur = b.conv(f"{p}_dfm", "dw3x3_deform", cur, out_c, out_c, relu=True)
         cur = b.add(LayerNode(f"{p}_up", "upsample2x_nearest", (cur,), ic=out_c, oc=out_c))
         in_c = out_c
 
-    b.conv1x1("head_y", cur, in_c, classes, relu=False)
-    b.conv1x1("head_s", cur, in_c, 2, relu=False)
-    b.conv1x1("head_o", cur, in_c, 2, relu=False)
+    b.conv("head_y", "conv1x1", cur, in_c, classes)
+    b.conv("head_s", "conv1x1", cur, in_c, 2)
+    b.conv("head_o", "conv1x1", cur, in_c, 2)
 
     g = NetworkGraph(b.nodes, config=config, resolution=resolution, width_mult=mult,
                      downsample=downsample, classes=classes)
@@ -254,48 +394,20 @@ def count_cost(g: NetworkGraph, precision: str = "w4a8") -> CostReport:
     """
     if precision not in ("fp32", "w4a8"):
         raise ValueError("precision must be fp32 or w4a8")
-    shapes: dict[str, tuple[int, int, int]] = {"input": (g.resolution, g.resolution, 3)}
+    shapes = _out_shapes(g)
     layers: list[LayerCost] = []
     scale_entries = 0
     for n in g.nodes:
-        h, w, c = shapes[n.inputs[0]]
+        out = shapes[n.output_names[0]]
         params = macs = 0
-        if n.kind == "conv1x1":
-            out = (h, w, n.oc)
-            params = n.ic * n.oc
-            macs = h * w * n.ic * n.oc
+        if n.is_conv:
+            # weights per output pixel, the offset convolution included
+            params = math.prod(n.weight_shape)
+            if n.deformable:
+                params += math.prod(n.offset_weight_shape)
+                scale_entries += n.offset_weight_shape[-1]
+            macs = out[0] * out[1] * params
             scale_entries += n.oc
-        elif n.kind == "dw3x3":
-            oh, ow = ops.ConvSpec(3, n.stride, True, 1).out_hw(h, w)
-            out = (oh, ow, n.oc)
-            params = 9 * n.oc
-            macs = oh * ow * 9 * n.oc
-            scale_entries += n.oc
-        elif n.kind == "dw3x3_deform":
-            off_ch = 1 if n.offset_mode == ops.SQUARE else 18
-            out = (h, w, n.oc)
-            params = 9 * n.oc + n.ic * off_ch
-            macs = h * w * (9 * n.oc + n.ic * off_ch)
-            scale_entries += n.oc + off_ch
-        elif n.kind == "full3x3_first":
-            oh, ow = ops.ConvSpec(3, n.stride, False, 1).out_hw(h, w)
-            out = (oh, ow, n.oc)
-            params = 9 * n.ic * n.oc
-            macs = oh * ow * 9 * n.ic * n.oc
-            scale_entries += n.oc
-        elif n.kind == "maxpool2x2":
-            out = (h // 2, w // 2, c)
-        elif n.kind == "upsample2x_nearest":
-            out = (2 * h, 2 * w, c)
-        elif n.kind == "split_half":
-            out = (h, w, c // 2)
-        elif n.kind == "concat":
-            h2, w2, c2 = shapes[n.inputs[1]]
-            out = (h, w, c + c2)
-        else:  # shuffle
-            out = (h, w, c)
-        for name in n.output_names:
-            shapes[name] = out
         layers.append(LayerCost(n.name, n.kind, params, macs, out))
     total_params = sum(l.params for l in layers)
     total_macs = sum(l.macs for l in layers)
@@ -321,6 +433,10 @@ def _heads_shape(g: NetworkGraph) -> tuple[int, int]:
     return side, side
 
 
+def _publish(values: dict, n: LayerNode, out) -> None:
+    values.update(zip(n.output_names, out if isinstance(out, tuple) else (out,)))
+
+
 def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, FloatTensor, FloatTensor]:
     """Integer-only forward pass from quantized image codes to head tensors.
 
@@ -334,41 +450,16 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
         raise GraphError(f"image dims {image.shape.dims} do not match config resolution {g.resolution}")
     values: dict[str, QuantTensor] = {"input": image}
 
-    def fetch(node: LayerNode, idx: int = 0) -> QuantTensor:
-        try:
-            return values[node.inputs[idx]]
-        except KeyError as e:
-            raise GraphError(f"node '{node.name}': missing input {e}") from None
-
     for n in g.nodes:
-        x = fetch(n)
         try:
-            if n.kind == "conv1x1":
-                out = ops.conv1x1_q(x, n.w_q, n.rp)
-            elif n.kind == "dw3x3":
-                spec = ops.ConvSpec(3, n.stride, True, 1)
-                out = ops.dw3x3_q(x, n.w_q, spec, n.rp)
-            elif n.kind == "dw3x3_deform":
-                off = ops.offset_gen(x, n.off_w_q, n.off_rp, n.offset_mode,
-                                     n.offset_lo, n.offset_hi, path=n.offset_path)
-                out = ops.deform_conv_q(x, n.w_q, off, ops.ConvSpec(3, 1, True, 1), n.rp)
-            elif n.kind == "full3x3_first":
-                out = ops.conv3x3_full_q(x, n.w_q, ops.ConvSpec(3, n.stride, False, 1), n.rp)
-            elif n.kind == "maxpool2x2":
-                out = ops.maxpool2x2(x)
-            elif n.kind == "upsample2x_nearest":
-                out = ops.upsample2x_nearest(x)
-            elif n.kind == "split_half":
-                a, b2 = ops.split_half(x)
-                values[n.name + "#0"], values[n.name + "#1"] = a, b2
-                continue
-            elif n.kind == "concat":
-                out = ops.concat(x, fetch(n, 1))
-            else:
-                out = ops.shuffle(x)
+            xs = [values[i] for i in n.inputs]
+        except KeyError as e:
+            raise GraphError(f"node '{n.name}': missing input {e}") from None
+        try:
+            out = KINDS[n.kind].run_q(n, xs)
         except ValueError as e:
             raise GraphError(f"node '{n.name}': {e}") from e
-        values[n.name] = out
+        _publish(values, n, out)
 
     yq = values[g.head_names[0]]
     sq = values[g.head_names[1]]
@@ -383,11 +474,6 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
         FloatTensor(Shape4(1, hh, ww, 2), s),
         FloatTensor(Shape4(1, hh, ww, 2), o),
     )
-
-
-def _float_conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
-    out = np.einsum("nhwi,io->nhwo", x, w[:, 0, 0, :].astype(np.float64)) + b
-    return np.maximum(out, 0.0) if relu else out
 
 
 def run_inference_float(
@@ -410,76 +496,16 @@ def run_inference_float(
         return arr
 
     for n in g.nodes:
-        x = values[n.inputs[0]]
-        if n.kind == "conv1x1":
-            out = record(n.name, _float_conv1x1(x, n.w_fp, n.b_fp, n.relu))
-        elif n.kind in ("dw3x3", "full3x3_first"):
-            ft = FloatTensor(Shape4(*x.shape), x)
-            wt = FloatTensor(Shape4(*n.w_fp.shape), n.w_fp)
-            spec = ops.ConvSpec(3, n.stride, n.kind == "dw3x3", 1)
-            out = ops.conv_ref(ft, wt, spec).data.astype(np.float64) + n.b_fp
+        out = KINDS[n.kind].run_f(n, [values[i] for i in n.inputs], record)
+        if n.is_conv:
+            out = out + n.b_fp
             if n.relu:
                 out = np.maximum(out, 0.0)
-            out = record(n.name, out)
-        elif n.kind == "dw3x3_deform":
-            raw = _float_conv1x1(x, n.off_w_fp, n.off_b_fp, relu=False)
-            record(n.name + "/off", raw)
-            nb, hh, ww, _ = x.shape
-            if n.offset_mode == ops.SQUARE:
-                # square displacements are absolute tap positions around the
-                # center; express them as deltas from the regular grid
-                d = np.clip(round_half_away(raw[..., 0]), max(n.offset_lo, 0), n.offset_hi)
-                grid = np.array([(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)], dtype=np.float64)
-                disp = ops.square_expand(d.astype(np.int64)).astype(np.float64) - grid
-            else:
-                ints = np.clip(round_half_away(raw).astype(np.int64), n.offset_lo, n.offset_hi)
-                disp = ints.reshape(nb, hh, ww, 9, 2).astype(np.float64)
-            fr = ops.OffsetField(ops.FREE_FRAC, disp)
-            ft = FloatTensor(Shape4(*x.shape), x)
-            wt = FloatTensor(Shape4(*n.w_fp.shape), n.w_fp)
-            out = ops.deform_conv_ref(ft, wt, fr, ops.ConvSpec(3, 1, True, 1)).data.astype(np.float64) + n.b_fp
-            if n.relu:
-                out = np.maximum(out, 0.0)
-            out = record(n.name, out)
-        elif n.kind == "maxpool2x2":
-            nb, hh, ww, cc = x.shape
-            out = x.reshape(nb, hh // 2, 2, ww // 2, 2, cc).max(axis=(2, 4))
-        elif n.kind == "upsample2x_nearest":
-            out = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-        elif n.kind == "split_half":
-            half = x.shape[-1] // 2
-            values[n.name + "#0"], values[n.name + "#1"] = x[..., :half], x[..., half:]
-            continue
-        elif n.kind == "concat":
-            out = np.concatenate([x, values[n.inputs[1]]], axis=-1)
-        else:
-            nb, hh, ww, cc = x.shape
-            out = x.reshape(nb, hh, ww, 2, cc // 2).swapaxes(3, 4).reshape(nb, hh, ww, cc)
-        values[n.name] = out
+            record(n.name, out)
+        _publish(values, n, out)
 
     y = 1.0 / (1.0 + np.exp(-values[g.head_names[0]]))
     return y, values[g.head_names[1]], values[g.head_names[2]]
-
-
-def first_layer_host(
-    image: FloatTensor,
-    w: FloatTensor,
-    b: np.ndarray,
-    downsample: str,
-    act_qp: QuantParams,
-    relu: bool = True,
-) -> QuantTensor:
-    """Host-side stem: full 3x3 float conv, optional pooling, then quantize."""
-    stride = 4 if downsample == "stride4" else 2
-    out = ops.conv_ref(image, w, ops.ConvSpec(3, stride, False, 1))
-    data = out.data.astype(np.float64) + b
-    if relu:
-        data = np.maximum(data, 0.0)
-    if downsample == "stride2_maxpool":
-        n, h, ww, c = data.shape
-        data = data.reshape(n, h // 2, 2, ww // 2, 2, c).max(axis=(2, 4))
-    ft = FloatTensor(Shape4(*data.shape), data)
-    return quantize(ft, act_qp)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +516,8 @@ def _union_find_groups(g: NetworkGraph) -> dict[str, str]:
     """Map each conv node to its activation-scale group representative.
 
     Values that meet at a concat must share one activation scale, so the conv
-    sources feeding both concat inputs are unioned (passthrough ops forward
-    their producer's sources).
+    sources feeding a pass-through op are unioned (with one input they are
+    already one group) and the op forwards them.
     """
     parent: dict[str, str] = {}
 
@@ -510,13 +536,11 @@ def _union_find_groups(g: NetworkGraph) -> dict[str, str]:
     for n in g.nodes:
         if n.is_conv:
             srcs = {n.name}
-        elif n.kind == "concat":
-            srcs = sources[n.inputs[0]] | sources[n.inputs[1]]
+        else:
+            srcs = set().union(*(sources[i] for i in n.inputs))
             first = next(iter(srcs))
             for other in srcs:
                 union(first, other)
-        else:
-            srcs = set().union(*(sources[i] for i in n.inputs))
         for out in n.output_names:
             sources[out] = srcs
     return {k: find(k) for k in list(parent)} | {n.name: find(n.name) for n in g.nodes if n.is_conv}
@@ -551,39 +575,33 @@ def quantize_graph(
     in_qp = calibrate(calib_images, bits=8, percentile=percentile)
     input_delta = float(in_qp.delta[0])
 
+    def quantize_weights(w: np.ndarray) -> QuantTensor:
+        w_qp = calibrate([w], bits=4, granularity=PER_CHANNEL, percentile=percentile)
+        return quantize(FloatTensor(Shape4(*w.shape), w), w_qp)
+
     # Propagate the activation delta along the dataflow.
     deltas: dict[str, float] = {"input": input_delta}
     new_nodes: list[LayerNode] = []
-    act_delta: dict[str, float] = {}
-    for n in g.nodes:
-        if n.is_conv:
-            t = group_t[groups[n.name]]
-            act_delta[n.name] = t / 127.0
-
     for n in g.nodes:
         nn = replace(n)
         if n.is_conv:
-            w_qp = calibrate([n.w_fp], bits=4, granularity=PER_CHANNEL, percentile=percentile)
-            nn.w_q = quantize(FloatTensor(Shape4(*n.w_fp.shape), n.w_fp), w_qp)
+            nn.w_q = quantize_weights(n.w_fp)
             in_delta = deltas[n.inputs[0]]
-            out_delta = act_delta[n.name]
-            nn.rp = derive_requant(in_delta, w_qp.delta, out_delta, n.b_fp, relu=n.relu)
-            if n.kind == "dw3x3_deform":
-                off_qp = calibrate([n.off_w_fp], bits=4, granularity=PER_CHANNEL, percentile=percentile)
-                nn.off_w_q = quantize(FloatTensor(Shape4(*n.off_w_fp.shape), n.off_w_fp), off_qp)
+            out_delta = group_t[groups[n.name]] / 127.0
+            nn.rp = derive_requant(in_delta, nn.w_q.qparams.delta, out_delta, n.b_fp, relu=n.relu)
+            if n.deformable:
+                nn.off_w_q = quantize_weights(n.off_w_fp)
                 off_t = stats.get(n.name + "/off", 0.0) or float(n.offset_hi)
-                nn.off_rp = derive_requant(in_delta, off_qp.delta, off_t / 127.0, n.off_b_fp)
+                nn.off_rp = derive_requant(in_delta, nn.off_w_q.qparams.delta, off_t / 127.0, n.off_b_fp)
                 nn.offset_path = offset_path
             for out in n.output_names:
                 deltas[out] = out_delta
-        elif n.kind == "concat":
-            d0, d1 = deltas[n.inputs[0]], deltas[n.inputs[1]]
-            if not np.isclose(d0, d1, rtol=1e-9):
-                raise GraphError(f"node '{n.name}': concat inputs carry different scales")
-            deltas[n.name] = d0
         else:
+            d0 = deltas[n.inputs[0]]
+            if not all(np.isclose(deltas[i], d0, rtol=1e-9) for i in n.inputs[1:]):
+                raise GraphError(f"node '{n.name}': {n.kind} inputs carry different scales")
             for out in n.output_names:
-                deltas[out] = deltas[n.inputs[0]]
+                deltas[out] = d0
         new_nodes.append(nn)
 
     return NetworkGraph(new_nodes, config=g.config, resolution=g.resolution,

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec, OffsetField
+from .ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, TAPS, ConvSpec, OffsetField,
+                  offset_channels)
 
 BASELINE_DRAM = "baseline_dram"
 LLC = "llc"
@@ -94,16 +95,26 @@ class EngineConfig:
     clock_mhz: int = 250
 
     def rate(self, kind: str) -> int:
-        if kind == "1x1":
-            return self.macs_1x1[0] * self.macs_1x1[1]
-        if kind == "dw":
-            return self.macs_dw[0] * self.macs_dw[1]
-        if kind == "full":
-            return self.macs_full[0] * self.macs_full[1] * self.macs_full[2]
-        raise ValueError(f"unknown engine kind {kind!r}")
+        """MACs per cycle of the engine that runs ``kind`` (see engine_work)."""
+        arrays = {"1x1": self.macs_1x1, "dw": self.macs_dw, "full": self.macs_full}
+        if kind not in arrays:
+            raise ValueError(f"unknown engine kind {kind!r}")
+        return math.prod(arrays[kind])
 
     def peak_gops(self, kind: str) -> float:
         return self.rate(kind) * 2 * self.clock_mhz / 1000.0
+
+
+def engine_work(spec: ConvSpec, dims: tuple[int, int, int, int]) -> tuple[str, int, int]:
+    """Engine kind ('1x1', 'dw' or 'full'), MACs and weight count of a
+    convolution producing an (h, w) output from ic to oc channels."""
+    h, w, ic, oc = dims
+    if spec.kernel == 1:
+        kind = "1x1"
+    else:
+        kind = "dw" if spec.depthwise else "full"
+    weights = spec.kernel * spec.kernel * ic * (1 if spec.depthwise else oc)
+    return kind, h * w * weights, weights
 
 
 @dataclass(frozen=True)
@@ -129,11 +140,6 @@ class Trace:
     weight_bytes: int
     out_bytes_per_pos: int
 
-    @property
-    def num_positions(self) -> int:
-        h, w, _, _ = self.dims
-        return h * w
-
 
 def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int, int]) -> Trace:
     """Deterministic access trace for a conv kernel at NHWC byte addresses."""
@@ -145,18 +151,12 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
     if off is not None and spec.kernel != 3:
         raise ValueError("offsets only apply to 3x3 kernels")
     oh, ow = spec.out_hw(h, w)
+    kind, macs, weights = engine_work(spec, (oh, ow, ic, oc))
 
-    if spec.kernel == 1:
-        kind = "1x1"
-        taps = np.zeros((1, 2), dtype=np.int64)
-        centers_y = (np.arange(oh) * spec.stride)[:, None]
-        centers_x = (np.arange(ow) * spec.stride)[None, :]
-    else:
-        kind = "dw" if spec.depthwise else "full"
-        taps = np.array([(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)], dtype=np.int64)
-        centers_y = (np.arange(oh) * spec.stride - spec.padding + 1)[:, None]
-        centers_x = (np.arange(ow) * spec.stride - spec.padding + 1)[None, :]
-
+    taps = TAPS if spec.kernel == 3 else np.zeros((1, 2), dtype=np.int64)
+    reach = spec.kernel // 2
+    centers_y = (np.arange(oh) * spec.stride - spec.padding + reach)[:, None]
+    centers_x = (np.arange(ow) * spec.stride - spec.padding + reach)[None, :]
     ntaps = taps.shape[0]
     cy = np.broadcast_to(centers_y, (oh, ow))[:, :, None]
     cx = np.broadcast_to(centers_x, (oh, ow))[:, :, None]
@@ -171,33 +171,24 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
         if off.spatial != (1, oh, ow):
             raise ValueError("offset field must cover the output with batch 1")
         disp = off.displacements()[0]
-        if off.mode == SQUARE:
+        square = off.mode == SQUARE
+        if square:
             iy = cy + disp[..., 0]
             ix = cx + disp[..., 1]
-            off_bytes = 1
-            square = True
         else:
             iy = cy + taps[None, None, :, 0] + disp[..., 0]
             ix = cx + taps[None, None, :, 1] + disp[..., 1]
-            off_bytes = 2 * ntaps
-            square = False
+        off_bytes = offset_channels(off.mode)
 
     out_rows = np.broadcast_to(np.arange(oh)[:, None, None], (oh, ow, ntaps))
     valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
     addr = _IN_BASE + (iy * w + ix) * ic
-    macs_per_pos = ntaps * ic if spec.depthwise else ntaps * ic * oc
-    if spec.kernel == 1:
-        weight_bytes = (ic * oc + 1) // 2
-    elif spec.depthwise:
-        weight_bytes = (9 * ic + 1) // 2
-    else:
-        weight_bytes = (9 * ic * oc + 1) // 2
     return Trace(
         kind=kind,
         dims=(oh, ow, ic, oc),
         in_h=h,
         in_w=w,
-        macs=oh * ow * macs_per_pos,
+        macs=macs,
         deformable=off is not None,
         square=square,
         in_addr=addr[valid].astype(np.int64),
@@ -205,7 +196,7 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
         in_out_row=out_rows[valid].astype(np.int64),
         in_bytes=ic,
         off_bytes_per_pos=off_bytes,
-        weight_bytes=weight_bytes,
+        weight_bytes=(weights + 1) // 2,
         out_bytes_per_pos=oc,
     )
 
@@ -406,23 +397,12 @@ def roofline(spec: ConvSpec, eng: EngineConfig | None = None, dram_gbps: float =
     classified against the threshold.
     """
     eng = eng or EngineConfig()
-    if spec.kernel == 1:
-        kind = "1x1"
-    elif spec.depthwise:
-        kind = "dw"
-    else:
-        kind = "full"
+    kind, macs, weights = engine_work(spec, dims or (1, 1, 1, 1))
     gpairs = dram_gbps / 1.5
     threshold = eng.peak_gops(kind) / gpairs
     if dims is None:
         return RooflineResult(threshold, None, None)
     h, w, ic, oc = dims
-    if kind == "1x1":
-        macs, weights = h * w * ic * oc, ic * oc
-    elif kind == "dw":
-        macs, weights = h * w * 9 * ic, 9 * ic
-    else:
-        macs, weights = h * w * 9 * ic * oc, 9 * ic * oc
     pairs = max(h * w * ic, weights)
     intensity = 2.0 * macs / pairs
     return RooflineResult(threshold, intensity, "compute" if intensity >= threshold else "memory")
@@ -461,11 +441,10 @@ def _ablation_offsets(op: str, oh: int, ow: int, rng: np.random.Generator) -> Of
         vals = rng.integers(0, ABLATION_BOUND + 1, size=(1, oh, ow, 9, 2))
         return OffsetField(BOUNDED_INT, vals, lo=0, hi=ABLATION_BOUND)
     # deform: displacement = random target pixel minus the regular tap position
-    grid = np.array([(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)], dtype=np.int64)
     ty = rng.integers(0, oh, size=(1, oh, ow, 9))
     tx = rng.integers(0, ow, size=(1, oh, ow, 9))
-    base_y = np.arange(oh)[None, :, None, None] + grid[None, None, None, :, 0]
-    base_x = np.arange(ow)[None, None, :, None] + grid[None, None, None, :, 1]
+    base_y = np.arange(oh)[None, :, None, None] + TAPS[None, None, None, :, 0]
+    base_x = np.arange(ow)[None, None, :, None] + TAPS[None, None, None, :, 1]
     vals = np.stack([ty - base_y, tx - base_x], axis=-1)
     return OffsetField(FREE_INT, vals)
 
@@ -484,23 +463,37 @@ def _ablation_mem(op: str, llc: bool, llc_seed: int) -> MemConfig:
     return MemConfig(design=LINE_BUFFER, llc=llc_cfg, line_buffer_rows=rows, llc_routed=llc)
 
 
+def ablation_case(operation: str, dims: tuple[int, int, int, int],
+                  seed: int) -> tuple[Trace, tuple[MemConfig, MemConfig]]:
+    """The ablation recipe for one operation such as ``"dw_square"``: its
+    access trace and the memory design that serves it, indexed by LLC
+    setting (0 without, 1 with), so one trace serves both.
+
+    The offsets are drawn from an RNG keyed by (seed, half, operation); a
+    depthwise half runs ic -> ic channels. The LLC replacement seed is
+    seed + 1.
+    """
+    half, op = operation.split("_", 1)
+    if half not in _HALVES or op not in _OPERATIONS:
+        raise ValueError(operation)
+    h, w, ic, oc = dims
+    depthwise = half == "dw"
+    spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise, padding=1)
+    rng = np.random.default_rng([seed, _HALVES.index(half), _OPERATIONS.index(op)])
+    trace = gen_trace(spec, _ablation_offsets(op, h, w, rng), (h, w, ic, ic if depthwise else oc))
+    return trace, (_ablation_mem(op, False, llc_seed=seed + 1), _ablation_mem(op, True, llc_seed=seed + 1))
+
+
 def ablation_table(dims: tuple[int, int, int, int], seed: int,
                    eng: EngineConfig | None = None) -> list[AblationRow]:
     """Full ablation grid: 4 operations x {full, depthwise} x {no-LLC, LLC}."""
-    h, w, ic, oc = dims
     eng = eng or EngineConfig()
     rows: list[AblationRow] = []
     for half in _HALVES:
-        depthwise = half == "dw"
-        hdims = (h, w, ic, ic if depthwise else oc)
-        spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise, padding=1)
-        for op_idx, op in enumerate(_OPERATIONS):
-            rng = np.random.default_rng([seed, _HALVES.index(half), op_idx])
-            off = _ablation_offsets(op, h, w, rng)
-            trace = gen_trace(spec, off, hdims)
-            for llc in (False, True):
-                mem = _ablation_mem(op, llc, llc_seed=seed + 1)
-                rows.append(AblationRow(f"{half}_{op}", mem.design, llc, simulate(trace, mem, eng)))
+        for op in _OPERATIONS:
+            trace, mems = ablation_case(f"{half}_{op}", dims, seed)
+            for llc, mem in enumerate(mems):
+                rows.append(AblationRow(f"{half}_{op}", mem.design, bool(llc), simulate(trace, mem, eng)))
     return rows
 
 

@@ -25,7 +25,15 @@ FREE_INT = "free_int"
 BOUNDED_INT = "bounded_int"
 SQUARE = "square"
 
-_TAPS = [(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)]  # row-major 3x3 grid
+# Row-major 3x3 tap grid: (dy, dx) of each tap from the window center, shape (9, 2).
+TAPS = np.array([(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)], dtype=np.int64)
+TAPS.setflags(write=False)
+
+
+def offset_channels(mode: str) -> int:
+    """Channels of the offset-generating 1x1 convolution: one half-width per
+    position in square mode, a (dy, dx) pair per tap otherwise."""
+    return 1 if mode == SQUARE else 2 * len(TAPS)
 
 
 @dataclass(frozen=True)
@@ -117,56 +125,69 @@ def square_expand(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=np.int64)
     if d.size and d.min() < 0:
         raise ValueError("square half-widths must be non-negative")
-    grid = np.array(_TAPS, dtype=np.int64)  # (9, 2)
-    return d[..., None, None] * grid
+    return d[..., None, None] * TAPS
+
+
+def round_clip_offsets(reals: np.ndarray, mode: str, lo: int, hi: int) -> OffsetField:
+    """Round real offsets half away from zero and clamp them into [lo, hi].
+
+    ``reals`` has shape (n, h, w, ...) with ``offset_channels(mode)`` values
+    per position: a half-width in square mode, clamped into [max(lo, 0), hi],
+    or a (dy, dx) pair per tap for every other mode, which yields a
+    bounded_int field. The clamp comes before the integer cast, so
+    out-of-range reals cannot overflow it.
+    """
+    n, h, w = reals.shape[:3]
+    if mode == SQUARE:
+        lo, shape = max(lo, 0), (n, h, w)
+    else:
+        mode, shape = BOUNDED_INT, (n, h, w, len(TAPS), 2)
+    vals = np.clip(round_half_away(reals), lo, hi).astype(np.int64).reshape(shape)
+    return OffsetField(mode, vals, lo=lo, hi=hi)
 
 
 def clip_offsets(off: OffsetField, lo: int, hi: int) -> OffsetField:
     """Round fractional offsets to integers, then clamp into [lo, hi]."""
     if lo > hi:
         raise ValueError(f"empty range [{lo},{hi}]")
-    if off.mode == SQUARE:
-        d = np.clip(off.data, max(lo, 0), hi)
-        return OffsetField(SQUARE, d, lo=max(lo, 0), hi=hi)
-    vals = off.data
-    if off.mode == FREE_FRAC:
-        vals = round_half_away(vals)
-    vals = np.clip(vals.astype(np.int64), lo, hi)
-    return OffsetField(BOUNDED_INT, vals, lo=lo, hi=hi)
+    return round_clip_offsets(off.data, off.mode, lo, hi)
 
 
 # ---------------------------------------------------------------------------
 # Float reference path
 # ---------------------------------------------------------------------------
 
+def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type) -> np.ndarray:
+    """Zero-padded convolution sums in ``dtype``, accumulated tap by tap:
+    per-channel products when depthwise, channel contractions otherwise."""
+    n, h, wd, ic = data.shape
+    oh, ow = spec.out_hw(h, wd)
+    pad, st = spec.padding, spec.stride
+    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=dtype)
+    xp[:, pad:pad + h, pad:pad + wd, :] = data
+    acc = np.zeros((n, oh, ow, ic if spec.depthwise else w.shape[-1]), dtype=dtype)
+    for ky in range(spec.kernel):
+        for kx in range(spec.kernel):
+            patch = xp[:, ky:ky + oh * st:st, kx:kx + ow * st:st, :]
+            if spec.depthwise:
+                acc += patch * w[0, ky, kx, :].astype(dtype)
+            else:
+                acc += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
+    return acc
+
+
 def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec) -> FloatTensor:
     """Direct zero-padded convolution, full or depthwise."""
-    n, h, wdt, ic = x.shape.dims
+    ic = x.shape.c
     kh, kw = w.shape.h, w.shape.w
     if kh != spec.kernel or kw != spec.kernel:
         raise ValueError(f"weight kernel {kh}x{kw} does not match spec {spec.kernel}")
-    oh, ow = spec.out_hw(h, wdt)
-    pad = spec.padding
-    xp = np.zeros((n, h + 2 * pad, wdt + 2 * pad, ic), dtype=np.float64)
-    xp[:, pad:pad + h, pad:pad + wdt, :] = x.data
-    if spec.depthwise:
-        if w.shape.n != 1 or w.shape.c != ic:
-            raise ValueError("depthwise weights must have shape (1,k,k,c) with c matching input")
-        acc = np.zeros((n, oh, ow, ic), dtype=np.float64)
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = xp[:, ky:ky + oh * spec.stride:spec.stride, kx:kx + ow * spec.stride:spec.stride, :]
-                acc += patch * w.data[0, ky, kx, :].astype(np.float64)
-        return FloatTensor(Shape4(n, oh, ow, ic), acc)
-    if w.shape.n != ic:
+    if spec.depthwise and (w.shape.n != 1 or w.shape.c != ic):
+        raise ValueError("depthwise weights must have shape (1,k,k,c) with c matching input")
+    if not spec.depthwise and w.shape.n != ic:
         raise ValueError(f"weight input channels {w.shape.n} do not match tensor channels {ic}")
-    oc = w.shape.c
-    acc = np.zeros((n, oh, ow, oc), dtype=np.float64)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[:, ky:ky + oh * spec.stride:spec.stride, kx:kx + ow * spec.stride:spec.stride, :]
-            acc += np.einsum("nhwi,io->nhwo", patch, w.data[:, ky, kx, :].astype(np.float64))
-    return FloatTensor(Shape4(n, oh, ow, oc), acc)
+    acc = _tap_sums(x.data, w.data, spec, np.float64)
+    return FloatTensor(Shape4(*acc.shape), acc)
 
 
 def bilinear_sample(x: FloatTensor, py: float, px: float, c: int, n: int = 0) -> float:
@@ -222,7 +243,7 @@ def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: Conv
     depthwise = spec.depthwise
     oc = x.shape.c if depthwise else w.shape.c
     acc = np.zeros((n, oh, ow, oc), dtype=np.float64)
-    for tap, (gy, gx) in enumerate(_TAPS):
+    for tap, (gy, gx) in enumerate(TAPS):
         py = cy + gy + off.data[..., tap, 0]
         px = cx + gx + off.data[..., tap, 1]
         sampled = _bilinear_gather(x.data.astype(np.float64), py, px)
@@ -270,19 +291,10 @@ def dw3x3_acc(x: QuantTensor, w: QuantTensor, spec: ConvSpec) -> AccumTensor:
     _check_quant_inputs(x, w)
     if not spec.depthwise or spec.kernel != 3:
         raise ValueError("dw3x3 expects a depthwise 3x3 spec")
-    n, h, wd, c = x.shape.dims
-    if w.shape.n != 1 or w.shape.h != 3 or w.shape.w != 3 or w.shape.c != c:
+    if w.shape.dims != (1, 3, 3, x.shape.c):
         raise ValueError("depthwise weights must have shape (1,3,3,c)")
-    oh, ow = spec.out_hw(h, wd)
-    pad = spec.padding
-    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=np.int64)
-    xp[:, pad:pad + h, pad:pad + wd, :] = x.data
-    acc = np.zeros((n, oh, ow, c), dtype=np.int64)
-    for ky in range(3):
-        for kx in range(3):
-            patch = xp[:, ky:ky + oh * spec.stride:spec.stride, kx:kx + ow * spec.stride:spec.stride, :]
-            acc += patch * w.data[0, ky, kx, :].astype(np.int64)
-    return AccumTensor(Shape4(n, oh, ow, c), acc)
+    acc = _tap_sums(x.data, w.data, spec, np.int64)
+    return AccumTensor(Shape4(*acc.shape), acc)
 
 
 def dw3x3_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantParams) -> QuantTensor:
@@ -294,20 +306,10 @@ def conv3x3_full_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantPa
     _check_quant_inputs(x, w)
     if spec.depthwise or spec.kernel != 3:
         raise ValueError("conv3x3_full expects a full 3x3 spec")
-    n, h, wd, ic = x.shape.dims
-    if w.shape.n != ic or w.shape.h != 3 or w.shape.w != 3:
+    if w.shape.dims[:3] != (x.shape.c, 3, 3):
         raise ValueError("full 3x3 weights must have shape (ic,3,3,oc)")
-    oc = w.shape.c
-    oh, ow = spec.out_hw(h, wd)
-    pad = spec.padding
-    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=np.int64)
-    xp[:, pad:pad + h, pad:pad + wd, :] = x.data
-    acc = np.zeros((n, oh, ow, oc), dtype=np.int64)
-    for ky in range(3):
-        for kx in range(3):
-            patch = xp[:, ky:ky + oh * spec.stride:spec.stride, kx:kx + ow * spec.stride:spec.stride, :]
-            acc += np.einsum("nhwi,io->nhwo", patch, w.data[:, ky, kx, :].astype(np.int64))
-    return requantize(AccumTensor(Shape4(n, oh, ow, oc), acc), rp)
+    acc = _tap_sums(x.data, w.data, spec, np.int64)
+    return requantize(AccumTensor(Shape4(*acc.shape), acc), rp)
 
 
 def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: ConvSpec) -> AccumTensor:
@@ -336,7 +338,7 @@ def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: Conv
     data = x.data.astype(np.int64)
     nn = np.arange(n).reshape(-1, 1, 1)
     acc = np.zeros((n, oh, ow, c), dtype=np.int64)
-    for tap, (gy, gx) in enumerate(_TAPS):
+    for tap, (gy, gx) in enumerate(TAPS):
         if off.mode == SQUARE:
             iy = cy + disp[..., tap, 0]
             ix = cx + disp[..., tap, 1]
@@ -369,7 +371,7 @@ def offset_gen(
     straight from the 32-bit accumulator without the 8-bit bottleneck. Both
     end with a clip into [lo, hi] ([max(lo,0), hi] for square mode).
     """
-    expected = 1 if mode == SQUARE else 18
+    expected = offset_channels(mode)
     if w_off.shape.c != expected:
         raise ValueError(f"offset weights for mode {mode!r} need {expected} output channels, got {w_off.shape.c}")
     if path == "requant":
@@ -382,13 +384,7 @@ def offset_gen(
         reals = acc.data.astype(np.float64) * factor + b.astype(np.float64) * rp.out_delta
     else:
         raise ValueError(f"unknown offset path {path!r}")
-    ints = round_half_away(reals).astype(np.int64)
-    n, oh, ow = x.shape.n, x.shape.h, x.shape.w
-    if mode == SQUARE:
-        d = np.clip(ints[..., 0], max(lo, 0), hi)
-        return OffsetField(SQUARE, d, lo=max(lo, 0), hi=hi)
-    field = ints.reshape(n, oh, ow, 9, 2)
-    return OffsetField(BOUNDED_INT, np.clip(field, lo, hi), lo=lo, hi=hi)
+    return round_clip_offsets(reals, mode, lo, hi)
 
 
 # ---------------------------------------------------------------------------

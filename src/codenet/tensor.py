@@ -6,7 +6,7 @@ marked read-only) so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class Shape4:
     @property
     def num_elements(self) -> int:
         return self.n * self.h * self.w * self.c
-
-    def flat_offset(self, n: int, h: int, w: int, c: int) -> int:
-        """Flat NHWC offset; channels are contiguous."""
-        if not (0 <= n < self.n and 0 <= h < self.h and 0 <= w < self.w and 0 <= c < self.c):
-            raise IndexError(f"index ({n},{h},{w},{c}) out of range for shape {self.dims}")
-        return ((n * self.h + h) * self.w + w) * self.c + c
 
 
 def _freeze(data: np.ndarray) -> np.ndarray:
@@ -127,35 +121,3 @@ class AccumTensor:
 
     def at(self, n: int, h: int, w: int, c: int) -> int:
         return int(self.data[n, h, w, c])
-
-
-Tensor = Union[FloatTensor, QuantTensor, AccumTensor]
-
-
-def new_tensor(shape: Shape4, fill: float, bits: int | None = None) -> Tensor:
-    """Constant-filled tensor; ``bits`` of 4 or 8 selects an integer tensor."""
-    if bits is None:
-        return FloatTensor(shape, np.full(shape.dims, fill, dtype=np.float32))
-    lo, hi = symmetric_bounds(bits)
-    fill_i = int(fill)
-    if fill_i != fill or not (lo <= fill_i <= hi):
-        raise ValueError(f"fill {fill} outside symmetric {bits}-bit range [{lo},{hi}]")
-    return QuantTensor(shape, np.full(shape.dims, fill_i, dtype=np.int8), bits=bits)
-
-
-def index(t: Tensor, n: int, h: int, w: int, c: int):
-    """Element at (n,h,w,c); raises IndexError when out of range."""
-    t.shape.flat_offset(n, h, w, c)  # bounds check with NHWC semantics
-    return t.at(n, h, w, c)
-
-
-def with_element(t: Tensor, n: int, h: int, w: int, c: int, value) -> Tensor:
-    """Copy of ``t`` with one element replaced (tensors are immutable)."""
-    t.shape.flat_offset(n, h, w, c)
-    data = t.data.copy()
-    data[n, h, w, c] = value
-    if isinstance(t, QuantTensor):
-        return QuantTensor(t.shape, data, bits=t.bits, qparams=t.qparams)
-    if isinstance(t, AccumTensor):
-        return AccumTensor(t.shape, data)
-    return FloatTensor(t.shape, data)

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
+from codenet import ops
 from codenet.graph import LayerNode, NetworkGraph, quantize_graph
 from codenet.tensor import FloatTensor, Shape4
 
@@ -15,8 +16,13 @@ def _he(rng, shape, fan_in):
 
 
 def make_tiny_graph(seed: int = 0, resolution: int = 16, channels: int = 8,
-                    classes: int = 2, deform: bool = False) -> NetworkGraph:
-    """Minimal valid network: stem, a pointwise/depthwise pair, three heads."""
+                    classes: int = 2, deform: bool = False,
+                    offset_mode: str = ops.BOUNDED_INT) -> NetworkGraph:
+    """Minimal valid network: stem, a pointwise/depthwise pair, three heads.
+
+    With ``deform`` the depthwise layer is deformable and samples with
+    ``offset_mode`` offsets.
+    """
     rng = np.random.default_rng(seed)
     c = channels
     nodes = [
@@ -26,10 +32,12 @@ def make_tiny_graph(seed: int = 0, resolution: int = 16, channels: int = 8,
                   w_fp=_he(rng, (c, 1, 1, c), c), b_fp=np.zeros(c, dtype=np.float32)),
     ]
     if deform:
+        off_ch = ops.offset_channels(offset_mode)
         nodes.append(LayerNode(
             "dw", "dw3x3_deform", ("pw",), ic=c, oc=c, relu=False,
             w_fp=_he(rng, (1, 3, 3, c), 9), b_fp=np.zeros(c, dtype=np.float32),
-            off_w_fp=_he(rng, (c, 1, 1, 18), c), off_b_fp=np.zeros(18, dtype=np.float32)))
+            off_w_fp=_he(rng, (c, 1, 1, off_ch), c), off_b_fp=np.zeros(off_ch, dtype=np.float32),
+            offset_mode=offset_mode))
     else:
         nodes.append(LayerNode("dw", "dw3x3", ("pw",), ic=c, oc=c, stride=1, relu=False,
                                w_fp=_he(rng, (1, 3, 3, c), 9), b_fp=np.zeros(c, dtype=np.float32)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from codenet import cli
 from codenet.container import (Chunk, CHUNK_DESCRIPTOR, ContainerError, DTYPE_F32,
                                DTYPE_I4, image_to_float, load_graph, pack_i4,
                                parse_tensor, read_container, read_image, save_graph,
@@ -134,3 +135,46 @@ class TestImageFormat:
         p.write_bytes(b"WXYZ" + bytes(20))
         with pytest.raises(ContainerError):
             read_image(str(p))
+
+
+class TestMalformedContainers:
+    def test_fuzzed_containers_exit_1(self, tmp_path, capsys):
+        """Truncated or byte-flipped containers raise ContainerError from
+        load_graph, and the CLI reports them with exit 1, never a traceback.
+
+        Each command is one the intact container also fails with exit 1 (an
+        fp32 model cannot be run, a w4a8 model cannot be quantized again), so
+        every mutation must exit 1 whether or not it still loads.
+        """
+        g = make_tiny_graph(seed=16, deform=True)
+        fp32, w4a8 = tmp_path / "fp32.cdnt", tmp_path / "w4a8.cdnt"
+        save_graph(str(fp32), g)
+        save_graph(str(w4a8), quantize_graph(g, make_calib_images(16)))
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        write_image(str(calib / "c0.img"), np.zeros((16, 16, 3), dtype=np.uint8))
+        image = str(calib / "c0.img")
+        victim = str(tmp_path / "victim.cdnt")
+        commands = {
+            fp32: ["infer", victim, image],
+            w4a8: ["quantize", victim, str(tmp_path / "out.cdnt"), "--calib", str(calib)],
+        }
+        rng = np.random.default_rng(17)
+        rejected = 0
+        for _ in range(300):
+            base = (fp32, w4a8)[int(rng.integers(2))]
+            blob = bytearray(base.read_bytes())
+            if rng.integers(2):
+                blob = blob[:int(rng.integers(len(blob)))]
+            else:
+                for pos in rng.integers(len(blob), size=int(rng.integers(1, 4))):
+                    blob[pos] ^= int(rng.integers(1, 256))
+            with open(victim, "wb") as f:
+                f.write(blob)
+            try:
+                load_graph(victim)
+            except ContainerError:
+                rejected += 1
+            assert cli.main(commands[base]) == 1
+        assert rejected >= 150
+        assert "Traceback" not in capsys.readouterr().err

@@ -142,6 +142,14 @@ class TestAp50:
         # second detection is a false positive: AP = area under (1.0, then 0.5)
         assert ap50(dets, gts) == pytest.approx(1.0)
 
+    def test_ground_truths_left_unchanged(self):
+        gts = [_gt(0, (0, 0, 10, 10)), _gt(0, (20, 20, 30, 30))]
+        dets = [_det(0, 0.9, (0, 0, 10, 10)), _det(0, 0.7, (20, 20, 30, 30))]
+        before = [dict(vars(g)) for g in gts]
+        first = ap50(dets, gts)
+        assert [vars(g) for g in gts] == before
+        assert ap50(dets, gts) == first
+
     def test_macro_average_skips_absent_classes(self):
         gts = [_gt(0, (0, 0, 10, 10))]
         dets = [_det(0, 0.9, (0, 0, 10, 10)), _det(3, 0.99, (0, 0, 10, 10))]

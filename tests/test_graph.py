@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from codenet import graph as G
+from codenet import ops
 from codenet.graph import (GraphError, LayerNode, build_codenet, count_cost,
-                           first_layer_host, quantize_graph, run_inference,
-                           run_inference_float, sigmoid_lut)
-from codenet.quant import QuantParams, quantize
+                           quantize_graph, run_inference, run_inference_float,
+                           sigmoid_lut)
+from codenet.quant import QuantParams, RequantParams, quantize
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
 from conftest import make_calib_images, make_tiny_graph
@@ -57,6 +58,19 @@ class TestBuild:
         g = make_tiny_graph()
         g.nodes[1].inputs = ("dw",)
         with pytest.raises(GraphError):
+            g.lint()
+
+    def test_linter_rejects_wrong_input_count(self):
+        g = make_tiny_graph()
+        g.nodes[1].inputs = ("stem", "stem")
+        with pytest.raises(GraphError, match="pw"):
+            g.lint()
+
+    def test_linter_rejects_strided_pointwise(self):
+        # the pointwise and deformable kernels have no stride
+        g = make_tiny_graph()
+        g.nodes[1].stride = 2
+        with pytest.raises(GraphError, match="stride 1"):
             g.lint()
 
     def test_only_allowed_kinds_in_built_graphs(self):
@@ -209,33 +223,34 @@ class TestFloatVsInt:
 
 
 class TestFirstLayerHost:
+    """The stem: the one full 3x3 convolution, run on the host in integers."""
+
+    @staticmethod
+    def _stem(x, w, stride):
+        # multiplier 2**30 >> 30 with zero bias: output codes are the clipped sums
+        oc = w.shape[-1]
+        rp = RequantParams(np.full(oc, 1 << 30), np.full(oc, 30), np.zeros(oc, dtype=np.int64), 1.0)
+        return ops.conv3x3_full_q(QuantTensor(Shape4(*x.shape), x), QuantTensor(Shape4(*w.shape), w, bits=4),
+                                  ops.ConvSpec(3, stride, False, 1), rp)
+
     def test_stride4_output_dims(self):
         rng = np.random.default_rng(0)
-        img = FloatTensor(Shape4(1, 32, 32, 3), rng.uniform(0, 1, (1, 32, 32, 3)).astype(np.float32))
-        w = FloatTensor(Shape4(3, 3, 3, 8), rng.standard_normal((3, 3, 3, 8)).astype(np.float32))
-        qp = QuantParams(8, "per_layer", np.array([4.0]))
-        out = first_layer_host(img, w, np.zeros(8), "stride4", qp)
-        assert out.data.shape == (1, 8, 8, 8)
+        img = rng.integers(-127, 128, (1, 32, 32, 3))
+        w = rng.integers(-7, 8, (3, 3, 3, 8))
+        assert self._stem(img, w, 4).data.shape == (1, 8, 8, 8)
 
     def test_stride2_maxpool_output_dims(self):
         rng = np.random.default_rng(1)
-        img = FloatTensor(Shape4(1, 32, 32, 3), rng.uniform(0, 1, (1, 32, 32, 3)).astype(np.float32))
-        w = FloatTensor(Shape4(3, 3, 3, 8), rng.standard_normal((3, 3, 3, 8)).astype(np.float32))
-        qp = QuantParams(8, "per_layer", np.array([4.0]))
-        out = first_layer_host(img, w, np.zeros(8), "stride2_maxpool", qp)
-        assert out.data.shape == (1, 8, 8, 8)
+        img = rng.integers(-127, 128, (1, 32, 32, 3))
+        w = rng.integers(-7, 8, (3, 3, 3, 8))
+        assert ops.maxpool2x2(self._stem(img, w, 2)).data.shape == (1, 8, 8, 8)
 
     def test_impulse_matches_loop_oracle(self):
-        img = np.zeros((1, 8, 8, 3), dtype=np.float32)
-        img[0, 4, 4, 1] = 1.0
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        qp = QuantParams(8, "per_layer", np.array([127.0]))  # delta 1: codes = rounded conv
-        out = first_layer_host(FloatTensor(Shape4(1, 8, 8, 3), img),
-                               FloatTensor(Shape4(3, 3, 3, 4), w),
-                               np.zeros(4), "stride4", qp, relu=False)
+        img = np.zeros((1, 8, 8, 3), dtype=np.int64)
+        img[0, 4, 4, 1] = 1
+        w = np.random.default_rng(2).integers(-7, 8, (3, 3, 3, 4))
         want = conv2d_loop(img, w, 4, 1, depthwise=False)
-        assert np.array_equal(out.data, np.round(np.clip(want, -127, 127)).astype(np.int8))
+        assert np.array_equal(self._stem(img, w, 4).data, want.astype(np.int8))
 
 
 def test_sigmoid_lut_midpoint():

@@ -9,7 +9,8 @@ from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
 from codenet.quant import RequantParams, derive_requant
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
-from oracles import bilinear_formula, conv2d_loop, deform_dw_loop, int_conv1x1_loop
+from oracles import (bilinear_formula, conv2d_loop, deform_dw_loop, int_conv1x1_loop,
+                     requant_float64)
 
 RNG = np.random.default_rng(2024)
 
@@ -188,6 +189,21 @@ class TestIntegerKernels:
             want = np.clip((acc * mult + (np.int64(1) << (shift - 1))) // (np.int64(1) << shift) + bias,
                            -127, 127)
             assert np.array_equal(got.data.astype(np.int64), want)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("stride", [4, 2])
+    def test_conv3x3_full_matches_loop_oracle(self, stride, relu):
+        # the stem kernel: full 3x3 sums, then fixed-point requantization
+        rng = np.random.default_rng([11, stride, relu])
+        x = _codes((1, 13, 10, 3), 8, rng)
+        w = _codes((3, 3, 3, 6), 4, rng)
+        mult = rng.integers(1 << 30, 1 << 31, size=6)
+        shift = rng.integers(35, 39, size=6)
+        bias = rng.integers(-5, 6, size=6)
+        rp = RequantParams(mult, shift, bias, out_delta=1.0, relu=relu)
+        got = ops.conv3x3_full_q(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, False, 1), rp)
+        acc = conv2d_loop(x, w, stride, 1, depthwise=False).astype(np.int64)
+        assert np.array_equal(got.data, requant_float64(acc, mult, shift, bias, relu))
 
     def test_deform_square_d1_collapses_to_regular(self):
         rng = np.random.default_rng(9)
