@@ -2,10 +2,10 @@
 memory-hierarchy simulator for its accelerator designs."""
 
 from .tensor import AccumTensor, FloatTensor, QuantTensor, Shape4
-from .quant import (QuantParams, RequantParams, calibrate, clamp_threshold,
-                    dequantize, derive_requant, quantize, requantize)
-from .ops import (ConvSpec, OffsetField, bilinear_sample, clip_offsets, conv1x1_q,
-                  conv_ref, deform_conv_q, deform_conv_ref, offset_gen, square_expand)
+from .quant import (QuantParams, RequantParams, calibrate, dequantize, derive_requant,
+                    quantize, requantize)
+from .ops import (ConvSpec, OffsetField, bilinear_sample, conv1x1_q, conv_ref,
+                  deform_conv_q, deform_conv_ref, offset_gen, square_expand, tap_positions)
 from .detect import Detection, GroundTruth, ap50, decode, find_peaks, iou
 from .graph import (CostReport, LayerNode, NetworkGraph, build_codenet, count_cost,
                     quantize_graph, run_inference, run_inference_float)

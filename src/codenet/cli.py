@@ -96,8 +96,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         trace, mems = memsim.ablation_case(args.op, dims, args.seed)
         if args.design:
-            mem = memsim.MemConfig(design=args.design, ports=3 if args.design == memsim.LINE_BUFFER_MULTIPORT else 1,
-                                   line_buffer_rows=args.rows, llc_routed=bool(args.llc))
+            mem = memsim.MemConfig(design=args.design, line_buffer_rows=args.rows, llc_routed=bool(args.llc))
         else:
             mem = mems[args.llc]
         report = memsim.simulate(trace, mem, eng)

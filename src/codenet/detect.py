@@ -172,11 +172,3 @@ def ap50(
         precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
         aps.append(_ap_from_curve(recall, precision, interpolation))
     return float(np.mean(aps))
-
-
-def parse_detection_line(line: str) -> Detection:
-    parts = line.split()
-    if len(parts) != 6:
-        raise ValueError(f"expected 6 fields, got {len(parts)}")
-    return Detection(int(parts[0]), float(parts[5]),
-                     float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))

@@ -28,7 +28,6 @@ STAGE_BLOCKS = (4, 8, 4)
 # feature dim. The 2x decoder doubles the first width but widens the second
 # by 1.5x so the doubled network stays inside its compute budget.
 DECODER_WIDTHS = {1: (1024, 256, 64), 2: (2048, 384, 64)}
-HEAD_DIM = 64
 OUTPUT_STRIDE = 4
 OFFSET_RANGE = (-8, 7)
 
@@ -91,13 +90,7 @@ def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarra
     """Offsets are rounded and clipped exactly as in deployment."""
     raw = record(n.name + "/off", _float_conv1x1(xs[0], n.off_w_fp) + n.off_b_fp)
     off = ops.round_clip_offsets(raw, n.offset_mode, n.offset_lo, n.offset_hi)
-    disp = off.displacements().astype(np.float64)
-    if off.mode == ops.SQUARE:
-        # square displacements are absolute tap positions around the center;
-        # express them as deltas from the regular grid
-        disp = disp - ops.TAPS
-    fr = ops.OffsetField(ops.FREE_FRAC, disp)
-    return ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), fr, n.spec).data.astype(np.float64)
+    return ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), off, n.spec).data.astype(np.float64)
 
 
 def _maxpool_f(x: np.ndarray) -> np.ndarray:
@@ -155,7 +148,6 @@ KINDS: dict[str, OpKind] = {
         run_f=lambda n, xs, record: _shuffle_f(xs[0]),
         shape=lambda s: s),
 }
-ALLOWED_KINDS = tuple(KINDS)
 CONV_KINDS = tuple(k for k, v in KINDS.items() if v.kernel)
 
 
@@ -225,7 +217,6 @@ class NetworkGraph:
     precision: str = "fp32"
     input_delta: float = 1.0 / 127.0
     stride_out: int = OUTPUT_STRIDE
-    head_dim: int = HEAD_DIM
     head_names: tuple[str, str, str] = ("head_y", "head_s", "head_o")
 
     def node(self, name: str) -> LayerNode:
@@ -235,13 +226,19 @@ class NetworkGraph:
         raise KeyError(name)
 
     def lint(self) -> None:
-        """Validate operator kinds, wiring and channel bookkeeping."""
+        """Validate operator kinds, wiring, offset settings and channel bookkeeping."""
         known = {"input"}
         for n in self.nodes:
             if n.kind not in KINDS:
                 raise GraphError(f"node '{n.name}': kind {n.kind!r} is not a supported operator")
             if len(n.inputs) != KINDS[n.kind].arity:
                 raise GraphError(f"node '{n.name}': {n.kind} takes {KINDS[n.kind].arity} input(s)")
+            if n.deformable and n.offset_mode not in (ops.BOUNDED_INT, ops.SQUARE):
+                raise GraphError(f"node '{n.name}': unsupported offset mode {n.offset_mode!r}")
+            if n.deformable and n.offset_lo > n.offset_hi:
+                raise GraphError(f"node '{n.name}': empty offset range [{n.offset_lo},{n.offset_hi}]")
+            if n.deformable and n.offset_path not in ("requant", "direct"):
+                raise GraphError(f"node '{n.name}': unknown offset path {n.offset_path!r}")
             for src in n.inputs:
                 if src not in known:
                     raise GraphError(f"node '{n.name}': input '{src}' is not defined earlier (cycle or typo)")
@@ -428,11 +425,6 @@ def sigmoid_lut(delta: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-codes * delta))
 
 
-def _heads_shape(g: NetworkGraph) -> tuple[int, int]:
-    side = g.resolution // g.stride_out
-    return side, side
-
-
 def _publish(values: dict, n: LayerNode, out) -> None:
     values.update(zip(n.output_names, out if isinstance(out, tuple) else (out,)))
 
@@ -468,12 +460,7 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
     y = lut[yq.data.astype(np.int32) + 128]
     s = sq.data.astype(np.float64) * g.node(g.head_names[1]).rp.out_delta
     o = oq.data.astype(np.float64) * g.node(g.head_names[2]).rp.out_delta
-    hh, ww = _heads_shape(g)
-    return (
-        FloatTensor(Shape4(1, hh, ww, g.classes), y),
-        FloatTensor(Shape4(1, hh, ww, 2), s),
-        FloatTensor(Shape4(1, hh, ww, 2), o),
-    )
+    return FloatTensor(yq.shape, y), FloatTensor(sq.shape, s), FloatTensor(oq.shape, o)
 
 
 def run_inference_float(

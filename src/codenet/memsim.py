@@ -29,19 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, TAPS, ConvSpec, OffsetField,
-                  offset_channels)
+from .ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec, OffsetField,
+                  offset_channels, tap_positions)
 
 BASELINE_DRAM = "baseline_dram"
 LLC = "llc"
 LINE_BUFFER = "line_buffer"
 LINE_BUFFER_MULTIPORT = "line_buffer_multiport"
 _DESIGNS = (BASELINE_DRAM, LLC, LINE_BUFFER, LINE_BUFFER_MULTIPORT)
-
-_IN_BASE = 0
-_OFF_BASE = 1 << 40
-_W_BASE = 2 << 40
-_OUT_BASE = 3 << 40
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,6 @@ class MemConfig:
     design: str = LINE_BUFFER
     llc: LLCConfig = field(default_factory=LLCConfig)
     line_buffer_rows: int = 15
-    ports: int = 1
     dram_latency: int = 100      # cycles charged per request / per miss run
     llc_hit_cycles: int = 2
     buffer_hit_cycles: int = 1
@@ -79,12 +73,11 @@ class MemConfig:
     def __post_init__(self) -> None:
         if self.design not in _DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-        if self.ports not in (1, 3):
-            raise ValueError("ports must be 1 or 3")
-        if self.design == LINE_BUFFER_MULTIPORT and self.ports != 3:
-            object.__setattr__(self, "ports", 3)
-        if self.design in (BASELINE_DRAM, LLC) and self.ports != 1:
-            raise ValueError("only line-buffer designs have multiple ports")
+
+    @property
+    def ports(self) -> int:
+        """Buffer read ports per cycle."""
+        return 3 if self.design == LINE_BUFFER_MULTIPORT else 1
 
 
 @dataclass(frozen=True)
@@ -152,37 +145,14 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
         raise ValueError("offsets only apply to 3x3 kernels")
     oh, ow = spec.out_hw(h, w)
     kind, macs, weights = engine_work(spec, (oh, ow, ic, oc))
-
-    taps = TAPS if spec.kernel == 3 else np.zeros((1, 2), dtype=np.int64)
-    reach = spec.kernel // 2
-    centers_y = (np.arange(oh) * spec.stride - spec.padding + reach)[:, None]
-    centers_x = (np.arange(ow) * spec.stride - spec.padding + reach)[None, :]
-    ntaps = taps.shape[0]
-    cy = np.broadcast_to(centers_y, (oh, ow))[:, :, None]
-    cx = np.broadcast_to(centers_x, (oh, ow))[:, :, None]
-    if off is None:
-        iy = cy + taps[None, None, :, 0]
-        ix = cx + taps[None, None, :, 1]
-        off_bytes = 0
-        square = False
-    else:
-        if off.mode == FREE_FRAC:
-            raise ValueError("trace generation needs integer offsets")
-        if off.spatial != (1, oh, ow):
-            raise ValueError("offset field must cover the output with batch 1")
-        disp = off.displacements()[0]
-        square = off.mode == SQUARE
-        if square:
-            iy = cy + disp[..., 0]
-            ix = cx + disp[..., 1]
-        else:
-            iy = cy + taps[None, None, :, 0] + disp[..., 0]
-            ix = cx + taps[None, None, :, 1] + disp[..., 1]
-        off_bytes = offset_channels(off.mode)
-
-    out_rows = np.broadcast_to(np.arange(oh)[:, None, None], (oh, ow, ntaps))
+    if off is not None and off.mode == FREE_FRAC:
+        raise ValueError("trace generation needs integer offsets")
+    if off is not None and off.spatial != (1, oh, ow):
+        raise ValueError("offset field must cover the output with batch 1")
+    iy, ix = (p[0] for p in tap_positions(off, spec, oh, ow))
+    out_rows = np.broadcast_to(np.arange(oh)[:, None, None], iy.shape)
     valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    addr = _IN_BASE + (iy * w + ix) * ic
+    addr = (iy * w + ix) * ic
     return Trace(
         kind=kind,
         dims=(oh, ow, ic, oc),
@@ -190,12 +160,12 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
         in_w=w,
         macs=macs,
         deformable=off is not None,
-        square=square,
+        square=off is not None and off.mode == SQUARE,
         in_addr=addr[valid].astype(np.int64),
         in_row=iy[valid].astype(np.int64),
         in_out_row=out_rows[valid].astype(np.int64),
         in_bytes=ic,
-        off_bytes_per_pos=off_bytes,
+        off_bytes_per_pos=0 if off is None else offset_channels(off.mode),
         weight_bytes=(weights + 1) // 2,
         out_bytes_per_pos=oc,
     )
@@ -443,8 +413,7 @@ def _ablation_offsets(op: str, oh: int, ow: int, rng: np.random.Generator) -> Of
     # deform: displacement = random target pixel minus the regular tap position
     ty = rng.integers(0, oh, size=(1, oh, ow, 9))
     tx = rng.integers(0, ow, size=(1, oh, ow, 9))
-    base_y = np.arange(oh)[None, :, None, None] + TAPS[None, None, None, :, 0]
-    base_x = np.arange(ow)[None, None, :, None] + TAPS[None, None, None, :, 1]
+    base_y, base_x = tap_positions(None, ConvSpec(), oh, ow)
     vals = np.stack([ty - base_y, tx - base_x], axis=-1)
     return OffsetField(FREE_INT, vals)
 
@@ -457,10 +426,8 @@ def _ablation_mem(op: str, llc: bool, llc_seed: int) -> MemConfig:
     # Bounded offsets in [0, N] plus the kernel taps span 2N + 1 input rows
     # around the fill cursor, hence the 15-row buffer for N = 7.
     rows = 3 if op == "default" else 2 * ABLATION_BOUND + 1
-    if op == "square":
-        return MemConfig(design=LINE_BUFFER_MULTIPORT, llc=llc_cfg, line_buffer_rows=rows,
-                         ports=3, llc_routed=llc)
-    return MemConfig(design=LINE_BUFFER, llc=llc_cfg, line_buffer_rows=rows, llc_routed=llc)
+    design = LINE_BUFFER_MULTIPORT if op == "square" else LINE_BUFFER
+    return MemConfig(design=design, llc=llc_cfg, line_buffer_rows=rows, llc_routed=llc)
 
 
 def ablation_case(operation: str, dims: tuple[int, int, int, int],

@@ -7,9 +7,11 @@ Weight layout conventions (NHWC-friendly, output channels contiguous):
 
 Deformable sampling is anchored at the output-aligned window center, so a
 3x3 kernel at stride 1 / pad 1 with zero displacements reduces exactly to the
-regular convolution. Integer kernels gather whole pixels (no interpolation),
-accumulate in 32 bits tap-major and requantize to 8-bit codes; out-of-bounds
-samples read as zero in both the float and integer paths.
+regular convolution. ``tap_positions`` is the one place that turns an offset
+field into sampled positions, for both deformable kernels and memsim traces.
+Integer kernels gather whole pixels (no interpolation), accumulate in 32 bits
+tap-major and requantize to 8-bit codes; out-of-bounds samples read as zero
+in both the float and integer paths.
 """
 from __future__ import annotations
 
@@ -142,15 +144,33 @@ def round_clip_offsets(reals: np.ndarray, mode: str, lo: int, hi: int) -> Offset
         lo, shape = max(lo, 0), (n, h, w)
     else:
         mode, shape = BOUNDED_INT, (n, h, w, len(TAPS), 2)
+    if lo > hi:
+        raise ValueError(f"empty offset range [{lo},{hi}]")
     vals = np.clip(round_half_away(reals), lo, hi).astype(np.int64).reshape(shape)
     return OffsetField(mode, vals, lo=lo, hi=hi)
 
 
-def clip_offsets(off: OffsetField, lo: int, hi: int) -> OffsetField:
-    """Round fractional offsets to integers, then clamp into [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"empty range [{lo},{hi}]")
-    return round_clip_offsets(off.data, off.mode, lo, hi)
+def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input (row, column) sampled by each tap of each output position, two
+    arrays of shape (n, oh, ow, taps); n is 1 without an offset field.
+
+    The window of output (y, x) is centered at (y, x) * stride - padding +
+    kernel // 2; a 1x1 kernel has a single tap at the center. A tap samples
+    its grid position plus its displacement, added in that order so float
+    positions round once. Square displacements are already absolute tap
+    positions around the center and replace the grid.
+    """
+    taps = TAPS if spec.kernel == 3 else np.zeros((1, 2), dtype=np.int64)
+    reach = spec.kernel // 2
+    cy = (np.arange(oh) * spec.stride - spec.padding + reach)[:, None, None]
+    cx = (np.arange(ow) * spec.stride - spec.padding + reach)[None, :, None]
+    if off is None:
+        shape = (1, oh, ow, len(taps))
+        return np.broadcast_to(cy + taps[:, 0], shape), np.broadcast_to(cx + taps[:, 1], shape)
+    if off.mode == SQUARE:
+        disp = square_expand(off.data)
+        return cy + disp[..., 0], cx + disp[..., 1]
+    return (cy + taps[:, 0]) + off.data[..., 0], (cx + taps[:, 1]) + off.data[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +247,21 @@ def _bilinear_gather(xp: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarr
 
 
 def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec) -> FloatTensor:
-    """Float deformable 3x3 convolution with fractional offsets."""
-    if off.mode != FREE_FRAC:
-        raise ValueError("reference deformable convolution expects free fractional offsets")
+    """Float deformable 3x3 convolution, bilinear at fractional positions;
+    integer offset fields of any mode sample whole pixels exactly."""
     if spec.kernel != 3:
         raise ValueError("deformable convolution is defined for 3x3 kernels")
     n, h, wdt, ic = x.shape.dims
     oh, ow = spec.out_hw(h, wdt)
     if off.spatial != (n, oh, ow):
         raise ValueError("offset field spatial shape must match the output")
-    oy = np.arange(oh) * spec.stride - spec.padding + 1
-    ox = np.arange(ow) * spec.stride - spec.padding + 1
-    cy = np.broadcast_to(oy[None, :, None], (n, oh, ow)).astype(np.float64)
-    cx = np.broadcast_to(ox[None, None, :], (n, oh, ow)).astype(np.float64)
+    iy, ix = tap_positions(off, spec, oh, ow)
+    data = x.data.astype(np.float64)
     depthwise = spec.depthwise
     oc = x.shape.c if depthwise else w.shape.c
     acc = np.zeros((n, oh, ow, oc), dtype=np.float64)
     for tap, (gy, gx) in enumerate(TAPS):
-        py = cy + gy + off.data[..., tap, 0]
-        px = cx + gx + off.data[..., tap, 1]
-        sampled = _bilinear_gather(x.data.astype(np.float64), py, px)
+        sampled = _bilinear_gather(data, iy[..., tap], ix[..., tap])
         ky, kx = gy + 1, gx + 1
         if depthwise:
             acc += sampled * w.data[0, ky, kx, :].astype(np.float64)
@@ -330,23 +345,14 @@ def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: Conv
     oh, ow = spec.out_hw(h, wd)
     if off.spatial != (n, oh, ow):
         raise ValueError("offset field spatial shape must match the output")
-    disp = off.displacements()
-    oy = np.arange(oh) * spec.stride - spec.padding + 1
-    ox = np.arange(ow) * spec.stride - spec.padding + 1
-    cy = np.broadcast_to(oy[None, :, None], (n, oh, ow))
-    cx = np.broadcast_to(ox[None, None, :], (n, oh, ow))
+    iy, ix = tap_positions(off, spec, oh, ow)
     data = x.data.astype(np.int64)
     nn = np.arange(n).reshape(-1, 1, 1)
     acc = np.zeros((n, oh, ow, c), dtype=np.int64)
     for tap, (gy, gx) in enumerate(TAPS):
-        if off.mode == SQUARE:
-            iy = cy + disp[..., tap, 0]
-            ix = cx + disp[..., tap, 1]
-        else:
-            iy = cy + gy + disp[..., tap, 0]
-            ix = cx + gx + disp[..., tap, 1]
-        valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < wd)
-        vals = data[nn, np.clip(iy, 0, h - 1), np.clip(ix, 0, wd - 1), :]
+        ty, tx = iy[..., tap], ix[..., tap]
+        valid = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < wd)
+        vals = data[nn, np.clip(ty, 0, h - 1), np.clip(tx, 0, wd - 1), :]
         acc += vals * valid[..., None] * w.data[0, gy + 1, gx + 1, :].astype(np.int64)
     return AccumTensor(Shape4(n, oh, ow, c), acc)
 

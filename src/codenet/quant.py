@@ -21,7 +21,6 @@ PER_CHANNEL = "per_channel"
 
 # Fixed-point multipliers are normalized into [2**30, 2**31); the relative
 # approximation error of M * 2**-s is then below 2**-30.
-_M_LO = 1 << 30
 _M_HI = 1 << 31
 _MAX_SHIFT = 63
 
@@ -74,12 +73,6 @@ def _group_view(qp: QuantParams, shape: Shape4, values: np.ndarray) -> np.ndarra
     if values.size != shape.c:
         raise ValueError(f"per-channel params carry {values.size} groups, tensor has {shape.c} channels")
     return values.reshape(1, 1, 1, shape.c)
-
-
-def clamp_threshold(x: FloatTensor, qp: QuantParams) -> FloatTensor:
-    """Clamp every element into [-t, t] of its group."""
-    t = _group_view(qp, x.shape, qp.t)
-    return FloatTensor(x.shape, np.clip(x.data.astype(np.float64), -t, t))
 
 
 def quantize(x: FloatTensor, qp: QuantParams) -> QuantTensor:
@@ -226,14 +219,12 @@ def _broadcast_channels(rp: RequantParams, channels: int) -> tuple[np.ndarray, n
     raise ValueError(f"requant params carry {rp.num_channels} channels, accumulator has {channels}")
 
 
-def requantize(acc: AccumTensor, rp: RequantParams, truncate: bool = False):
+def requantize(acc: AccumTensor, rp: RequantParams) -> QuantTensor:
     """Rescale a 32-bit accumulator to 8-bit codes.
 
     The rounding shift adds 2**(s-1) before the arithmetic right shift
     (round half up in the shifted domain), the bias is added and the result
-    saturates into [-127, 127]. With ``truncate=True`` the literal low 8 bits
-    are returned instead as a raw int8 array; wrapped codes can fall outside
-    the symmetric range, so that study path does not build a QuantTensor.
+    saturates into [-127, 127].
     """
     m, s, b = _broadcast_channels(rp, acc.shape.c)
     wide = acc.data.astype(np.int64) * m  # |acc| < 2**31 and M < 2**31: fits int64
@@ -242,8 +233,6 @@ def requantize(acc: AccumTensor, rp: RequantParams, truncate: bool = False):
     result = shifted + b
     if rp.relu:
         result = np.maximum(result, 0)
-    if truncate:
-        return ((result + 128) % 256 - 128).astype(np.int8)
     lo, hi = symmetric_bounds(8)
     codes = np.clip(result, lo, hi).astype(np.int8)
     qp = QuantParams(8, PER_LAYER, np.array([rp.out_delta * 127.0]))

@@ -71,9 +71,6 @@ class FloatTensor:
         arr = np.asarray(self.data, dtype=np.float32).reshape(self.shape.dims)
         object.__setattr__(self, "data", _freeze(arr))
 
-    def at(self, n: int, h: int, w: int, c: int) -> float:
-        return float(self.data[n, h, w, c])
-
 
 @dataclass(frozen=True)
 class QuantTensor:
@@ -98,9 +95,6 @@ class QuantTensor:
         arr = arr.astype(np.int8).reshape(self.shape.dims)
         object.__setattr__(self, "data", _freeze(arr))
 
-    def at(self, n: int, h: int, w: int, c: int) -> int:
-        return int(self.data[n, h, w, c])
-
 
 @dataclass(frozen=True)
 class AccumTensor:
@@ -118,6 +112,3 @@ class AccumTensor:
             raise ValueError("accumulator value outside 32-bit range")
         arr = arr.astype(np.int32).reshape(self.shape.dims)
         object.__setattr__(self, "data", _freeze(arr))
-
-    def at(self, n: int, h: int, w: int, c: int) -> int:
-        return int(self.data[n, h, w, c])

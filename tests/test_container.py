@@ -178,3 +178,30 @@ class TestMalformedContainers:
             assert cli.main(commands[base]) == 1
         assert rejected >= 150
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("offset_mode", "bogus"),
+        ("offset_mode", "free_frac"),
+        ("offset_lo", "8"),
+        ("offset_path", "bogus"),
+    ])
+    def test_bad_deformable_settings_exit_1(self, tmp_path, capsys, field, value):
+        """A descriptor whose deformable node names an unknown offset mode or
+        path, or an empty offset range, is rejected at load time."""
+        g = make_tiny_graph(seed=16, deform=True)
+        good, bad = str(tmp_path / "good.cdnt"), str(tmp_path / "bad.cdnt")
+        save_graph(good, quantize_graph(g, make_calib_images(16)))
+        chunks = read_container(good)
+        old = {"offset_mode": "bounded_int", "offset_lo": "-8", "offset_path": "requant"}[field]
+        text = chunks[0].payload.decode()
+        assert text.count(f" {field}={old}") == 1
+        text = text.replace(f" {field}={old}", f" {field}={value}")
+        chunks[0] = Chunk(CHUNK_DESCRIPTOR, "graph", text.encode())
+        write_container(bad, chunks)
+        image = str(tmp_path / "x.img")
+        write_image(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        assert cli.main(["infer", good, image]) == 0
+        with pytest.raises(ContainerError, match="dw"):
+            load_graph(bad)
+        assert cli.main(["infer", bad, image]) == 1
+        assert "Traceback" not in capsys.readouterr().err

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codenet.detect import (Detection, GroundTruth, ap50, decode, find_peaks, iou,
-                            parse_detection_line)
+from codenet.detect import Detection, GroundTruth, ap50, decode, find_peaks, iou
 
 from oracles import peaks_exhaustive
 
@@ -189,9 +188,9 @@ def test_detection_line_round_trip():
     d = _det(3, 0.5, (1.25, 2.5, 3.75, 4.0))
     line = d.to_line()
     assert len(line.split()) == 6
-    back = parse_detection_line(line)
-    assert back.class_id == 3
-    assert back.box == pytest.approx(d.box)
+    cls, x1, y1, x2, y2, conf = line.split()
+    assert int(cls) == 3 and float(conf) == pytest.approx(0.5)
+    assert (float(x1), float(y1), float(x2), float(y2)) == pytest.approx(d.box)
 
 
 def test_detection_invalid_box():

@@ -73,10 +73,23 @@ class TestBuild:
         with pytest.raises(GraphError, match="stride 1"):
             g.lint()
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("offset_mode", "bogus", "offset mode"),
+        ("offset_mode", ops.FREE_FRAC, "offset mode"),
+        ("offset_mode", ops.FREE_INT, "offset mode"),
+        ("offset_lo", 8, "empty offset range"),
+        ("offset_path", "bogus", "offset path"),
+    ])
+    def test_linter_rejects_deformable_settings(self, field, value, match):
+        g = make_tiny_graph(deform=True)
+        setattr(g.node("dw"), field, value)
+        with pytest.raises(GraphError, match=match):
+            g.lint()
+
     def test_only_allowed_kinds_in_built_graphs(self):
         for cfg in "abcde":
             g = build_codenet(cfg)
-            assert all(n.kind in G.ALLOWED_KINDS for n in g.nodes)
+            assert all(n.kind in G.KINDS for n in g.nodes)
 
     def test_channel_bookkeeping(self):
         # split report shapes already carry the halved channel count
@@ -181,6 +194,17 @@ class TestInference:
         img = make_calib_images(16, count=1, seed=12)[0]
         y, s, o = run_inference(gq, _quant_image(gq, img))
         assert y.data.shape == (1, 4, 4, 2)
+
+    @pytest.mark.parametrize("offset_mode", [ops.BOUNDED_INT, ops.SQUARE])
+    def test_batch_of_two_stacks_single_image_results(self, offset_mode):
+        gq = quantize_graph(make_tiny_graph(seed=3, deform=True, offset_mode=offset_mode),
+                            make_calib_images(16))
+        images = [_quant_image(gq, img) for img in make_calib_images(16, count=2, seed=13)]
+        batch = QuantTensor(Shape4(2, 16, 16, 3), np.concatenate([q.data for q in images]))
+        singles = [run_inference(gq, q) for q in images]
+        for head, got in enumerate(run_inference(gq, batch)):
+            assert got.shape == Shape4(2, 4, 4, 2)
+            assert np.array_equal(got.data, np.concatenate([s[head].data for s in singles]))
 
 
 class TestFloatVsInt:

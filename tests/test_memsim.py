@@ -92,14 +92,14 @@ class TestSimulate:
         d = OffsetField(SQUARE, rng.integers(0, 8, size=(1, 16, 16)), lo=0, hi=7)
         trace = gen_trace(_dw_spec(), d, DIMS)
         single = simulate(trace, MemConfig(design=LINE_BUFFER, line_buffer_rows=15))
-        multi = simulate(trace, MemConfig(design=LINE_BUFFER_MULTIPORT, line_buffer_rows=15, ports=3))
+        multi = simulate(trace, MemConfig(design=LINE_BUFFER_MULTIPORT, line_buffer_rows=15))
         assert multi.cycles <= single.cycles
 
     def test_multiport_requires_square(self):
         rng = np.random.default_rng(5)
         trace = gen_trace(_dw_spec(), _bounded(rng, 16, 16), DIMS)
         with pytest.raises(ValueError):
-            simulate(trace, MemConfig(design=LINE_BUFFER_MULTIPORT, ports=3))
+            simulate(trace, MemConfig(design=LINE_BUFFER_MULTIPORT))
 
     def test_zero_trace(self):
         trace = gen_trace(_dw_spec(), None, DIMS)

@@ -3,9 +3,9 @@ import pytest
 
 from codenet import ops
 from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
-                         OffsetField, bilinear_sample, clip_offsets, conv1x1_q,
-                         conv_ref, deform_conv_q, deform_conv_ref, dw3x3_q,
-                         offset_gen, square_expand, zero_offsets)
+                         OffsetField, bilinear_sample, conv1x1_q, conv_ref,
+                         deform_conv_q, deform_conv_ref, dw3x3_q, offset_gen,
+                         round_clip_offsets, square_expand, tap_positions, zero_offsets)
 from codenet.quant import RequantParams, derive_requant
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
@@ -119,31 +119,40 @@ class TestDeformRef:
         want = deform_dw_loop(x, w, off)
         assert np.allclose(got.data, want, atol=1e-5)
 
-    def test_mode_mismatch(self):
-        x = _ft(np.zeros((1, 4, 4, 1), dtype=np.float32))
-        w = _ft(np.zeros((1, 3, 3, 1), dtype=np.float32))
-        off = zero_offsets(1, 4, 4, mode=BOUNDED_INT)
-        with pytest.raises(ValueError):
-            deform_conv_ref(x, w, off, ConvSpec(3, 1, True, 1))
+    def test_integer_fields_equal_free_frac_positions(self):
+        # an integer field samples whole pixels: the same positions given as
+        # fractional deltas from the regular grid give bit-identical sums
+        rng = np.random.default_rng(21)
+        x = _ft(rng.standard_normal((1, 7, 7, 3)).astype(np.float32))
+        w = _ft(rng.standard_normal((1, 3, 3, 3)).astype(np.float32))
+        spec = ConvSpec(3, 1, True, 1)
+        bounded = OffsetField(BOUNDED_INT, rng.integers(-3, 4, size=(1, 7, 7, 9, 2)), lo=-3, hi=3)
+        square = OffsetField(SQUARE, rng.integers(0, 4, size=(1, 7, 7)), lo=0, hi=3)
+        # square displacements are absolute tap positions around the center
+        for off, delta in ((bounded, bounded.data), (square, square.displacements() - ops.TAPS)):
+            want = deform_conv_ref(x, w, OffsetField(FREE_FRAC, delta), spec)
+            got = deform_conv_ref(x, w, off, spec)
+            assert np.array_equal(got.data, want.data)
 
 
 class TestClipAndSquare:
     def test_clip_examples(self):
-        off = OffsetField(FREE_FRAC, np.full((1, 1, 1, 9, 2), 9.3))
-        assert clip_offsets(off, 0, 7).data.max() == 7
-        off = OffsetField(FREE_FRAC, np.full((1, 1, 1, 9, 2), -1.2))
-        assert clip_offsets(off, 0, 7).data.min() == 0
-        off = OffsetField(FREE_FRAC, np.full((1, 1, 1, 9, 2), -9.6))
-        assert clip_offsets(off, -8, 7).data.min() == -8
+        raw = lambda v: np.full((1, 1, 1, 18), v)
+        assert round_clip_offsets(raw(9.3), BOUNDED_INT, 0, 7).data.max() == 7
+        assert round_clip_offsets(raw(-1.2), BOUNDED_INT, 0, 7).data.min() == 0
+        assert round_clip_offsets(raw(-9.6), BOUNDED_INT, -8, 7).data.min() == -8
+        # square half-widths clamp into [max(lo, 0), hi]
+        assert round_clip_offsets(np.full((1, 1, 1, 1), -3.0), SQUARE, -8, 7).data.min() == 0
 
     def test_clip_rounds_before_clamping(self):
-        off = OffsetField(FREE_FRAC, np.full((1, 1, 1, 9, 2), 2.5))
-        assert clip_offsets(off, -8, 7).data.max() == 3  # half away from zero
+        off = round_clip_offsets(np.full((1, 1, 1, 18), 2.5), BOUNDED_INT, -8, 7)
+        assert off.data.max() == 3  # half away from zero
 
     def test_empty_range_rejected(self):
-        off = zero_offsets(1, 1, 1)
-        with pytest.raises(ValueError):
-            clip_offsets(off, 3, 2)
+        for mode, lo, hi in ((BOUNDED_INT, 3, 2), (SQUARE, 3, 2), (SQUARE, -8, -1)):
+            raw = np.zeros((1, 1, 1, ops.offset_channels(mode)))
+            with pytest.raises(ValueError, match="empty"):
+                round_clip_offsets(raw, mode, lo, hi)
 
     def test_square_expand_d1_is_standard_grid(self):
         taps = square_expand(np.array([[[1]]]))
@@ -160,6 +169,28 @@ class TestClipAndSquare:
         assert ys == [-2, 0, 2]
 
 
+class TestTapPositions:
+    def test_window_centers_and_grid(self):
+        # center of output (y, x) is (y, x) * stride - padding + 1 for 3x3
+        iy, ix = tap_positions(None, ConvSpec(3, 2, True, 1), 4, 3)
+        assert iy.shape == ix.shape == (1, 4, 3, 9)
+        y, x = np.meshgrid(np.arange(4), np.arange(3), indexing="ij")
+        assert np.array_equal(iy[0], 2 * y[..., None] + ops.TAPS[:, 0])
+        assert np.array_equal(ix[0], 2 * x[..., None] + ops.TAPS[:, 1])
+
+    def test_pointwise_single_center_tap(self):
+        iy, ix = tap_positions(None, ConvSpec(1, 1, False, 0), 2, 3)
+        assert iy.shape == (1, 2, 3, 1)
+        assert iy[0, :, :, 0].tolist() == [[0] * 3, [1] * 3]
+        assert ix[0, :, :, 0].tolist() == [[0, 1, 2]] * 2
+
+    def test_square_unit_half_width_is_regular_grid(self):
+        spec = ConvSpec(3, 1, True, 1)
+        square = OffsetField(SQUARE, np.ones((2, 5, 4), dtype=np.int64), lo=0, hi=1)
+        for a, b in zip(tap_positions(square, spec, 5, 4), tap_positions(zero_offsets(2, 5, 4), spec, 5, 4)):
+            assert a.shape == (2, 5, 4, 9) and np.array_equal(a, b)
+
+
 class TestIntegerKernels:
     def test_conv1x1_identity(self):
         x = _codes((1, 3, 3, 4), 8)
@@ -172,7 +203,7 @@ class TestIntegerKernels:
         x = np.array([3, 4], dtype=np.int8).reshape(1, 1, 1, 2)
         w = np.ones((2, 1, 1, 1), dtype=np.int8)
         out = conv1x1_q(_qt(x, 8), _qt(w, 4), _unit_rp(1))
-        assert out.at(0, 0, 0, 0) == 7
+        assert out.data[0, 0, 0, 0] == 7
 
     def test_conv1x1_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -239,7 +270,7 @@ class TestIntegerKernels:
         rng = np.random.default_rng(13)
         raw = rng.uniform(-20, 20, size=(1, 8, 8, 9, 2))
         hi = 7
-        off = clip_offsets(OffsetField(FREE_FRAC, raw), 0, hi)
+        off = round_clip_offsets(raw, BOUNDED_INT, 0, hi)
         # max sampled row distance from the output row is hi + 1 (tap reach)
         disp = off.data[..., 0]
         tap_rows = np.array([ky for ky in (-1, 0, 1) for _ in range(3)])
@@ -315,7 +346,7 @@ class TestCodeDomainHelpers:
     def test_maxpool(self):
         arr = np.array([[1, 2], [3, 4]], dtype=np.int8).reshape(1, 2, 2, 1)
         out = ops.maxpool2x2(_qt(arr, 8))
-        assert out.at(0, 0, 0, 0) == 4
+        assert out.data[0, 0, 0, 0] == 4
 
     def test_upsample_nearest(self):
         arr = np.array([[1]], dtype=np.int8).reshape(1, 1, 1, 1)

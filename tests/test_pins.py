@@ -49,23 +49,101 @@ BENCH_OP_SHA = {
     ("dw_square", 1): "d06b0f38464d4fe0090d9122dfb523515d3be79ff06fd8c7205634096ecfd5de",
 }
 
+# (op, design, llc) -> (exit code, stdout SHA-256) of `codenet bench --op OP
+# --design DESIGN --rows 15 --llc LLC --dims 16,16,16,16`; the multiport design
+# rejects non-square deformable offsets with exit 1.
+BENCH_DESIGN_SHA = {
+    ("full_default", "baseline_dram", 0): (0, "857ed34918e34b84608074aa774bfdc02198663c5d7f8574821c6f75f6177cce"),
+    ("full_default", "baseline_dram", 1): (0, "edd0949f662fff20af631d28242e5a37919aca6ec3b1e528510b0276b1f63568"),
+    ("full_default", "llc", 0): (0, "60c5004c4e8ad953547f72b498c4b0c479de2b4fc3208e35cc26d0a338ee0a40"),
+    ("full_default", "llc", 1): (0, "5d1821bbf248b3dd9366a54f3088ccea8e38298ae865d56228920627b854afdb"),
+    ("full_default", "line_buffer", 0): (0, "53d0c6510b71079bbae0fdea3f81aa03f1a4d80777742c85f2e51bea949be98d"),
+    ("full_default", "line_buffer", 1): (0, "642220eeff3c8ca313667700e83289f21e6daf01d42bc94a38d64223b53ff7e1"),
+    ("full_default", "line_buffer_multiport", 0): (0, "264d7d21d733504a4bb71155a0f30fa56bda021584f6bdf4be625d8890c244ca"),
+    ("full_default", "line_buffer_multiport", 1): (0, "35181eb5a8ebd927698145a0a4f8ad684a84b6bd8b7af8bea104f552ebf8239b"),
+    ("full_deform", "baseline_dram", 0): (0, "42f797e04cf9aa101cba460307270adce5aca0372ca9f4784a32463455d96cfa"),
+    ("full_deform", "baseline_dram", 1): (0, "253f67684958c2a24dada5ea943363e5de3df48a62b8fb26b3145d8e842c7c91"),
+    ("full_deform", "llc", 0): (0, "a6c5f536d2e7de2d688640ce63280e3f2f1726b134de10b621f0560732c7dc36"),
+    ("full_deform", "llc", 1): (0, "bbdfe7c68a1df2e529b02fa7c231beb545e3e847fb6d8b850b95b116a6282ef6"),
+    ("full_deform", "line_buffer", 0): (0, "3d15b2f8859958c1de286463ffeaf089dbade62f7b253aff9b3b7169cbc7f845"),
+    ("full_deform", "line_buffer", 1): (0, "085485ec1f47e4924982cd647f4db928e0ac25f8a87932a9107fc64bcae05c41"),
+    ("full_deform", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("full_deform", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("full_bound", "baseline_dram", 0): (0, "206b841a895898ddbf0fe72f46ccdb05661dba446e523389bfcc946fcaf4f575"),
+    ("full_bound", "baseline_dram", 1): (0, "5de6c63f924d85929483dcdd85fa62ff0c7000caf137cffb7c04f6c7bbb47b80"),
+    ("full_bound", "llc", 0): (0, "27849b61e5f837b5b7c16f0f8068379fc423df7bcda6d336c5fcea37406669e6"),
+    ("full_bound", "llc", 1): (0, "3cc4c09cec45f8dfff9228af8c4eb7601dbbacec5a81eef44f8ebfb72ce698a0"),
+    ("full_bound", "line_buffer", 0): (0, "cdabe56fd4cab566912d1920ee3ce5394469fbeae3ce5e5491c999505efc2ced"),
+    ("full_bound", "line_buffer", 1): (0, "024569b926478d22cb716930eb71778700408abdca798f2be2ea5c337660d27d"),
+    ("full_bound", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("full_bound", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("full_square", "baseline_dram", 0): (0, "0d9267b8e83882b8f8396160aed45b5d624c88ab5e1c88734a67d2765bc1dac7"),
+    ("full_square", "baseline_dram", 1): (0, "f865f6ac4515896511fc56ade7ca9d6c705067a16205d7dda7dc116ad5e7e725"),
+    ("full_square", "llc", 0): (0, "549137cebadd95c08a1fa0928069b9b189bd55d380a88957100fd7b2be8569a8"),
+    ("full_square", "llc", 1): (0, "757027a027a27b74fe27b4e2e0ab49dc32f9d54920982a58bf5f39953d24fac8"),
+    ("full_square", "line_buffer", 0): (0, "00d104b0c6b8b0302e3d322c476d1fa21d4f787754906737256ced28f88a4477"),
+    ("full_square", "line_buffer", 1): (0, "ec5dee7269a5afe1a41bb16d060544e8facf74799f5ecaf339ad16a517819abe"),
+    ("full_square", "line_buffer_multiport", 0): (0, "70cb4c1ceb03d4da1be424070f72c1a251b35d6cb57a188ed9de0a2c2eeaac39"),
+    ("full_square", "line_buffer_multiport", 1): (0, "5e2596ba069f222d06af2427a4acf4c953e3220d1772439e0b6683e9506da7a0"),
+    ("dw_default", "baseline_dram", 0): (0, "6b1eb337c54d6617e826b9c3479c9a129a054f07a4b342a23db17f10f76677f7"),
+    ("dw_default", "baseline_dram", 1): (0, "b9b1ea7195da2ba9676bff0098c7fd4bdfb3418019196e03aeea01a3b7ba1191"),
+    ("dw_default", "llc", 0): (0, "6eb5addffd76d4192fbb8b9ae6abbfef594f54ac53bf70d9fd10b1c6716185e9"),
+    ("dw_default", "llc", 1): (0, "21a80f661fb349d24c684d74fca955027abfbf262a6d3b0d155d1c4ed6a2f684"),
+    ("dw_default", "line_buffer", 0): (0, "977054daa736e9b8118cdde06263ee2ea58f4bc440f9519d40af51c434b767dd"),
+    ("dw_default", "line_buffer", 1): (0, "9476cd7292b7c126d4d0e8ee5aaa9103bc96cea5215dcebac5acc7e3ac5389cb"),
+    ("dw_default", "line_buffer_multiport", 0): (0, "35a1debbe4fc8bf3189b8ea2c382ebbd9aa897c8607662cda1fb1104a68052e3"),
+    ("dw_default", "line_buffer_multiport", 1): (0, "95f238ef199d3ffe9378f5e3346741cd9a4854ea6acfb65f0c137da6780320b3"),
+    ("dw_deform", "baseline_dram", 0): (0, "d09d24ebd77bff31ae22f4b45029829e9f345859bfa6d33a250cb1d7f59e57f6"),
+    ("dw_deform", "baseline_dram", 1): (0, "190ba715c266ea80d81c31886ad5e9d65866d276cb0d8ab55e891dc78aeefaaa"),
+    ("dw_deform", "llc", 0): (0, "a2410c748ef16f81316de8c0ec7db0d20c0e2be654fdf9aa79c3b1aa18b801a1"),
+    ("dw_deform", "llc", 1): (0, "d7327fbb55fd1a78d8e9c0870dd1b538d810ab5cd232f8f1cb714c9279a0ab1c"),
+    ("dw_deform", "line_buffer", 0): (0, "a73ec48029237a2c1b436642d85d9c797830503f12d0a7981126d6dca26b0879"),
+    ("dw_deform", "line_buffer", 1): (0, "dbc62856b6139af7c16820575d966b479e8cb73fcef861ce5f609dc3bf65998d"),
+    ("dw_deform", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("dw_deform", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("dw_bound", "baseline_dram", 0): (0, "a63843a2136d12537ccc8dab5a00c8fb4de4b7d0470ddce4afda03d2df36ec33"),
+    ("dw_bound", "baseline_dram", 1): (0, "3755d52bfce3c670987a69fd2ce891f1e98fd7c23b8495c87cf2c79475081d16"),
+    ("dw_bound", "llc", 0): (0, "4dcd48bc99a56429cb16c49402b95afc4a43545273b261590101c22f72268e03"),
+    ("dw_bound", "llc", 1): (0, "1646b7bde44d9c205f01b7f2f6ee7c652af4d21cce07def44d26ba89cdcd26f1"),
+    ("dw_bound", "line_buffer", 0): (0, "e6f180139df69391ffb1805ef8b1b9f82f9a1221a6d127414593a111d46abed2"),
+    ("dw_bound", "line_buffer", 1): (0, "ad365b2bf66cb7f4e17ecdb0bfd83b0a3e3f45a2946ba875115d5dd75521bb6a"),
+    ("dw_bound", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("dw_bound", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("dw_square", "baseline_dram", 0): (0, "82851f6c3e861f3574cb24b4bb84d0a72b38c4f68982bc11b26b8eaeb01b6195"),
+    ("dw_square", "baseline_dram", 1): (0, "d71a229e9a7cbf1f2e40af843eb15c25873b8421c690b39dd25778634a3a397e"),
+    ("dw_square", "llc", 0): (0, "ae5ed03afea3b7f3bee0a0554980a917847cc6c8191615e061a50d6376498f44"),
+    ("dw_square", "llc", 1): (0, "5767880c3101d806f3ff723d45968af9e053e8fa9d4356541edff3c11c31581d"),
+    ("dw_square", "line_buffer", 0): (0, "3201fef8aa5015743a3e09123d316c021d4d6600a982e12db49360dd19e91d04"),
+    ("dw_square", "line_buffer", 1): (0, "a3d36e3740fd0eb5ae3a90f077a5db0cb238142b629c7ce0a2c0f473ec213b3f"),
+    ("dw_square", "line_buffer_multiport", 0): (0, "36d820472651ff0aee9a9f1f4504804089fd1de77a85f181b2b0a869b3745e6d"),
+    ("dw_square", "line_buffer_multiport", 1): (0, "d06b0f38464d4fe0090d9122dfb523515d3be79ff06fd8c7205634096ecfd5de"),
+}
 
-def _stdout_sha(capsys, argv: list[str]) -> str:
+
+def _run(capsys, argv: list[str]) -> tuple[int, str]:
+    """Exit code and SHA-256 of stdout of one CLI call."""
     capsys.readouterr()
-    assert cli.main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    code = cli.main(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("config,precision", sorted(COST_SHA))
 def test_cost_per_layer_stdout_pinned(capsys, config, precision):
     argv = ["cost", "--config", config, "--precision", precision, "--per-layer"]
-    assert _stdout_sha(capsys, argv) == COST_SHA[(config, precision)]
+    assert _run(capsys, argv) == (0, COST_SHA[(config, precision)])
 
 
 @pytest.mark.parametrize("op,llc", sorted(BENCH_OP_SHA))
 def test_bench_op_stdout_pinned(capsys, op, llc):
     argv = ["bench", "--op", op, "--llc", str(llc), "--dims", "16,16,16,16"]
-    assert _stdout_sha(capsys, argv) == BENCH_OP_SHA[(op, llc)]
+    assert _run(capsys, argv) == (0, BENCH_OP_SHA[(op, llc)])
+
+
+@pytest.mark.parametrize("op,design,llc", sorted(BENCH_DESIGN_SHA))
+def test_bench_design_stdout_pinned(capsys, op, design, llc):
+    argv = ["bench", "--op", op, "--design", design, "--rows", "15", "--llc", str(llc),
+            "--dims", "16,16,16,16"]
+    assert _run(capsys, argv) == BENCH_DESIGN_SHA[(op, design, llc)]
 
 
 @pytest.mark.parametrize("offset_mode,offset_path", [
