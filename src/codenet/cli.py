@@ -17,6 +17,7 @@ from . import memsim
 from .container import (ContainerError, image_to_float, load_graph, read_image,
                         save_graph)
 from .detect import decode, find_peaks
+from .ops import OFFSET_PATHS
 from .quant import QuantParams, quantize
 
 
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("out")
     q.add_argument("--calib", required=True, help="directory of calibration .img files")
     q.add_argument("--percentile", type=float, default=None)
-    q.add_argument("--offset-path", choices=("requant", "direct"), default="requant")
+    q.add_argument("--offset-path", choices=OFFSET_PATHS, default="requant")
     q.set_defaults(func=_cmd_quantize)
 
     i = sub.add_parser("infer", help="run integer inference on a raw image")

@@ -237,7 +237,7 @@ class NetworkGraph:
                 raise GraphError(f"node '{n.name}': unsupported offset mode {n.offset_mode!r}")
             if n.deformable and n.offset_lo > n.offset_hi:
                 raise GraphError(f"node '{n.name}': empty offset range [{n.offset_lo},{n.offset_hi}]")
-            if n.deformable and n.offset_path not in ("requant", "direct"):
+            if n.deformable and n.offset_path not in ops.OFFSET_PATHS:
                 raise GraphError(f"node '{n.name}': unknown offset path {n.offset_path!r}")
             for src in n.inputs:
                 if src not in known:
@@ -545,6 +545,8 @@ def quantize_graph(
         raise GraphError("graph is already quantized")
     if not calib_images:
         raise GraphError("calibration needs at least one image")
+    if offset_path not in ops.OFFSET_PATHS:
+        raise GraphError(f"unknown offset path {offset_path!r}; expected one of {ops.OFFSET_PATHS}")
 
     stats: dict[str, float] = {}
     for img in calib_images:

@@ -9,9 +9,10 @@ Deformable sampling is anchored at the output-aligned window center, so a
 3x3 kernel at stride 1 / pad 1 with zero displacements reduces exactly to the
 regular convolution. ``tap_positions`` is the one place that turns an offset
 field into sampled positions, for both deformable kernels and memsim traces.
-Integer kernels gather whole pixels (no interpolation), accumulate in 32 bits
-tap-major and requantize to 8-bit codes; out-of-bounds samples read as zero
-in both the float and integer paths.
+Integer kernels gather whole pixels (no interpolation), sum code products
+exactly (in float32 under the bound of ``_acc_dtype``, so BLAS can do the
+work) and requantize the 32-bit accumulator to 8-bit codes; out-of-bounds
+samples read as zero in both the float and integer paths.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ FREE_FRAC = "free_frac"
 FREE_INT = "free_int"
 BOUNDED_INT = "bounded_int"
 SQUARE = "square"
+# How offset_gen turns its accumulator into offsets (see there).
+OFFSET_PATHS = ("requant", "direct")
 
 # Row-major 3x3 tap grid: (dy, dx) of each tap from the window center, shape (9, 2).
 TAPS = np.array([(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)], dtype=np.int64)
@@ -281,6 +284,28 @@ def _check_quant_inputs(x: QuantTensor, w: QuantTensor) -> None:
         raise ValueError("weights must be 4-bit codes")
 
 
+# A product of an 8-bit and a 4-bit code is at most 127 * 7 in magnitude, and
+# float32 holds every integer up to 2**24 exactly.
+_MAX_PRODUCT = 127 * 7
+_F32_EXACT = 1 << 24
+
+
+def _acc_dtype(terms: int) -> type:
+    """Accumulator dtype for sums of ``terms`` code products: float32 while
+    every partial sum, in any order, is an integer float32 holds exactly
+    (``terms`` <= 18,872), so any BLAS tiling or thread count gives the same
+    sum; int64 beyond that."""
+    return np.float32 if _MAX_PRODUCT * terms <= _F32_EXACT else np.int64
+
+
+def _accum(acc: np.ndarray) -> AccumTensor:
+    """Wrap exact code-product sums; float32 sums are integers below 2**24,
+    so their cast to int32 is exact."""
+    if acc.dtype == np.float32:
+        acc = acc.astype(np.int32)
+    return AccumTensor(Shape4(*acc.shape), acc)
+
+
 def conv1x1_acc(x: QuantTensor, w: QuantTensor) -> AccumTensor:
     """32-bit accumulator of a pointwise convolution."""
     _check_quant_inputs(x, w)
@@ -288,15 +313,17 @@ def conv1x1_acc(x: QuantTensor, w: QuantTensor) -> AccumTensor:
     if w.shape.h != 1 or w.shape.w != 1 or w.shape.n != ic:
         raise ValueError(f"1x1 weights must have shape (ic,1,1,oc) with ic={ic}")
     oc = w.shape.c
-    acc = x.data.astype(np.int64).reshape(-1, ic) @ w.data.astype(np.int64).reshape(ic, oc)
-    return AccumTensor(Shape4(n, h, wd, oc), acc.reshape(n, h, wd, oc))
+    dt = _acc_dtype(ic)
+    acc = x.data.reshape(-1, ic).astype(dt) @ w.data.reshape(ic, oc).astype(dt)
+    return _accum(acc.reshape(n, h, wd, oc))
 
 
 def conv1x1_q(x: QuantTensor, w: QuantTensor, rp: RequantParams) -> QuantTensor:
     """Pointwise integer convolution plus requantization.
 
-    The accumulation is a plain integer dot product over input channels, so
-    the result is independent of any internal tiling order.
+    The accumulation is an exact integer dot product over input channels
+    (a float32 matmul under the bound of ``_acc_dtype``), so the result is
+    independent of the matmul's tiling order and thread count.
     """
     return requantize(conv1x1_acc(x, w), rp)
 
@@ -308,8 +335,7 @@ def dw3x3_acc(x: QuantTensor, w: QuantTensor, spec: ConvSpec) -> AccumTensor:
         raise ValueError("dw3x3 expects a depthwise 3x3 spec")
     if w.shape.dims != (1, 3, 3, x.shape.c):
         raise ValueError("depthwise weights must have shape (1,3,3,c)")
-    acc = _tap_sums(x.data, w.data, spec, np.int64)
-    return AccumTensor(Shape4(*acc.shape), acc)
+    return _accum(_tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS))))
 
 
 def dw3x3_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantParams) -> QuantTensor:
@@ -323,8 +349,8 @@ def conv3x3_full_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantPa
         raise ValueError("conv3x3_full expects a full 3x3 spec")
     if w.shape.dims[:3] != (x.shape.c, 3, 3):
         raise ValueError("full 3x3 weights must have shape (ic,3,3,oc)")
-    acc = _tap_sums(x.data, w.data, spec, np.int64)
-    return requantize(AccumTensor(Shape4(*acc.shape), acc), rp)
+    acc = _tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS) * x.shape.c))
+    return requantize(_accum(acc), rp)
 
 
 def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: ConvSpec) -> AccumTensor:
@@ -346,15 +372,15 @@ def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: Conv
     if off.spatial != (n, oh, ow):
         raise ValueError("offset field spatial shape must match the output")
     iy, ix = tap_positions(off, spec, oh, ow)
-    data = x.data.astype(np.int64)
     nn = np.arange(n).reshape(-1, 1, 1)
-    acc = np.zeros((n, oh, ow, c), dtype=np.int64)
+    dt = _acc_dtype(len(TAPS))
+    acc = np.zeros((n, oh, ow, c), dtype=dt)
     for tap, (gy, gx) in enumerate(TAPS):
         ty, tx = iy[..., tap], ix[..., tap]
         valid = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < wd)
-        vals = data[nn, np.clip(ty, 0, h - 1), np.clip(tx, 0, wd - 1), :]
-        acc += vals * valid[..., None] * w.data[0, gy + 1, gx + 1, :].astype(np.int64)
-    return AccumTensor(Shape4(n, oh, ow, c), acc)
+        vals = x.data[nn, np.clip(ty, 0, h - 1), np.clip(tx, 0, wd - 1), :]
+        acc += vals * valid[..., None] * w.data[0, gy + 1, gx + 1, :].astype(dt)
+    return _accum(acc)
 
 
 def deform_conv_q(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: ConvSpec, rp: RequantParams) -> QuantTensor:

@@ -224,16 +224,15 @@ def requantize(acc: AccumTensor, rp: RequantParams) -> QuantTensor:
 
     The rounding shift adds 2**(s-1) before the arithmetic right shift
     (round half up in the shifted domain), the bias is added and the result
-    saturates into [-127, 127].
+    saturates into [-127, 127] ([0, 127] with relu). All steps run in place
+    on one int64 buffer.
     """
     m, s, b = _broadcast_channels(rp, acc.shape.c)
-    wide = acc.data.astype(np.int64) * m  # |acc| < 2**31 and M < 2**31: fits int64
-    rounding = np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
-    shifted = (wide + rounding) >> s
-    result = shifted + b
-    if rp.relu:
-        result = np.maximum(result, 0)
+    out = np.multiply(acc.data, m, dtype=np.int64)  # |acc| < 2**31 and M < 2**31: fits int64
+    out += np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
+    out >>= s
+    out += b
     lo, hi = symmetric_bounds(8)
-    codes = np.clip(result, lo, hi).astype(np.int8)
+    codes = np.clip(out, 0 if rp.relu else lo, hi, out=out).astype(np.int8)
     qp = QuantParams(8, PER_LAYER, np.array([rp.out_delta * 127.0]))
     return QuantTensor(acc.shape, codes, bits=8, qparams=qp)

@@ -195,6 +195,11 @@ class TestInference:
         y, s, o = run_inference(gq, _quant_image(gq, img))
         assert y.data.shape == (1, 4, 4, 2)
 
+    def test_quantize_rejects_unknown_offset_path(self):
+        # rejected where it enters, not later by lint when the container loads
+        with pytest.raises(GraphError, match="offset path 'bogus'"):
+            quantize_graph(make_tiny_graph(deform=True), make_calib_images(16), offset_path="bogus")
+
     @pytest.mark.parametrize("offset_mode", [ops.BOUNDED_INT, ops.SQUARE])
     def test_batch_of_two_stacks_single_image_results(self, offset_mode):
         gq = quantize_graph(make_tiny_graph(seed=3, deform=True, offset_mode=offset_mode),

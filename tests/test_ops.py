@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,11 +10,11 @@ from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
                          OffsetField, bilinear_sample, conv1x1_q, conv_ref,
                          deform_conv_q, deform_conv_ref, dw3x3_q, offset_gen,
                          round_clip_offsets, square_expand, tap_positions, zero_offsets)
-from codenet.quant import RequantParams, derive_requant
+from codenet.quant import RequantParams, derive_requant, requantize
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
 from oracles import (bilinear_formula, conv2d_loop, deform_dw_loop, int_conv1x1_loop,
-                     requant_float64)
+                     int_dw_deform_loop, requant_float64)
 
 RNG = np.random.default_rng(2024)
 
@@ -276,6 +280,100 @@ class TestIntegerKernels:
         tap_rows = np.array([ky for ky in (-1, 0, 1) for _ in range(3)])
         dist = disp + tap_rows[None, None, None, :]
         assert dist.max() <= hi + 1
+
+
+def _extreme_codes(shape, bits, rng):
+    # every code at full magnitude (127 or 7), signs drawn at random
+    hi = 2 ** (bits - 1) - 1
+    return (hi * rng.choice(np.array([-1, 1]), size=shape)).astype(np.int8)
+
+
+class TestExactAccumulation:
+    # float32 sums of 8-bit x 4-bit code products are exact up to 18,872
+    # terms (889 * 18,872 <= 2**24); beyond that the kernels use int64.
+    def _max_dot(self, ic):
+        x = np.full((1, 1, 1, ic), 127, dtype=np.int8)
+        w = np.full((ic, 1, 1, 1), 7, dtype=np.int8)
+        return int(ops.conv1x1_acc(_qt(x, 8), _qt(w, 4)).data[0, 0, 0, 0])
+
+    def test_largest_float32_sum_is_exact(self):
+        assert self._max_dot(18_872) == 16_777_208
+
+    def test_sum_beyond_the_bound_is_exact(self):
+        # odd and above 2**24, so float32 cannot hold it
+        assert self._max_dot(18_873) == 16_778_097
+
+    def test_bound_survives_optimized_mode(self):
+        # the bound is a branch, not an assert that `python -O` strips
+        code = ("import numpy as np; from codenet.ops import conv1x1_acc; "
+                "from codenet.tensor import QuantTensor, Shape4; "
+                "x = QuantTensor(Shape4(1, 1, 1, 18873), np.full((1, 1, 1, 18873), 127)); "
+                "w = QuantTensor(Shape4(18873, 1, 1, 1), np.full((18873, 1, 1, 1), 7), bits=4); "
+                "print(conv1x1_acc(x, w).data[0, 0, 0, 0])")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.strip() == "16778097"
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dw3x3_extreme_codes_match_loop_oracle(self, stride):
+        rng = np.random.default_rng([21, stride])
+        x = _extreme_codes((1, 9, 11, 5), 8, rng)
+        w = _extreme_codes((1, 3, 3, 5), 4, rng)
+        x[0, :4, :4, 0], w[..., 0] = 127, 7  # output (1, 1) sees 9 products of 889
+        got = ops.dw3x3_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, True, 1))
+        want = conv2d_loop(x, w, stride, 1, depthwise=True).astype(np.int64)
+        assert np.array_equal(got.data, want) and got.data[0, 1, 1, 0] == 9 * 889
+
+    def test_conv3x3_full_extreme_codes_match_loop_oracle(self):
+        rng = np.random.default_rng(22)
+        x = _extreme_codes((1, 10, 10, 3), 8, rng)
+        w = _extreme_codes((3, 3, 3, 4), 4, rng)
+        # a rescale below 2**-8 keeps every 27-term sum (|acc| <= 24,003) unsaturated
+        mult = rng.integers(1 << 30, 1 << 31, size=4)
+        shift = np.full(4, 39)
+        bias = rng.integers(-3, 4, size=4)
+        rp = RequantParams(mult, shift, bias, out_delta=1.0)
+        got = ops.conv3x3_full_q(_qt(x, 8), _qt(w, 4), ConvSpec(3, 2, False, 1), rp)
+        acc = conv2d_loop(x, w, 2, 1, depthwise=False).astype(np.int64)
+        assert np.array_equal(got.data, requant_float64(acc, mult, shift, bias, False))
+
+    def test_deform_extreme_codes_match_loop_oracle(self):
+        rng = np.random.default_rng(23)
+        x = _extreme_codes((1, 7, 8, 6), 8, rng)
+        w = _extreme_codes((1, 3, 3, 6), 4, rng)
+        vals = rng.integers(-3, 4, size=(1, 7, 8, 9, 2))
+        off = OffsetField(BOUNDED_INT, vals, lo=-3, hi=3)
+        got = ops.deform_conv_acc(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True, 1))
+        disp = ops.TAPS + vals[0]
+        want = int_dw_deform_loop(x, w, disp[..., 0], disp[..., 1])
+        assert np.array_equal(got.data, want)
+
+
+class TestNoInputMutation:
+    def _check(self, fn, *tensors):
+        before = [t.data.copy() for t in tensors]
+        fn(*tensors)
+        for t, b in zip(tensors, before):
+            assert np.array_equal(t.data, b) and t.data.dtype == b.dtype
+
+    def test_kernels_and_requantize_leave_inputs_unchanged(self):
+        rng = np.random.default_rng(31)
+        x = _qt(_codes((1, 6, 6, 4), 8, rng), 8)
+        rp = RequantParams(rng.integers(1 << 30, 1 << 31, size=4), np.full(4, 36),
+                           rng.integers(-5, 6, size=4), out_delta=1.0, relu=True)
+        dw = _qt(_codes((1, 3, 3, 4), 4, rng), 4)
+        spec = ConvSpec(3, 1, True, 1)
+        off = OffsetField(BOUNDED_INT, rng.integers(-2, 3, size=(1, 6, 6, 9, 2)), lo=-2, hi=2)
+        off_before = off.data.copy()
+        self._check(lambda a, b: conv1x1_q(a, b, rp), x, _qt(_codes((4, 1, 1, 4), 4, rng), 4))
+        self._check(lambda a, b: dw3x3_q(a, b, spec, rp), x, dw)
+        self._check(lambda a, b: deform_conv_q(a, b, off, spec, rp), x, dw)
+        self._check(lambda a, b: ops.conv3x3_full_q(a, b, ConvSpec(3, 2, False, 1), rp),
+                    x, _qt(_codes((4, 3, 3, 4), 4, rng), 4))
+        assert np.array_equal(off.data, off_before)
+        acc = ops.conv1x1_acc(x, _qt(_codes((4, 1, 1, 4), 4, rng), 4))
+        self._check(lambda a: requantize(a, rp), acc)
 
 
 class TestOffsetGen:
