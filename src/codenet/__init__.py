@@ -9,7 +9,7 @@ from .ops import (ConvSpec, OffsetField, bilinear_sample, conv1x1_q, conv_ref,
 from .detect import Detection, GroundTruth, ap50, decode, find_peaks, iou
 from .graph import (CostReport, LayerNode, NetworkGraph, build_codenet, count_cost,
                     quantize_graph, run_inference, run_inference_float)
-from .memsim import (EngineConfig, LLCConfig, MemConfig, SimReport, Trace,
-                     ablation_table, gen_trace, roofline, simulate)
+from .memsim import (EngineConfig, MemConfig, SimReport, Trace, ablation_table, gen_trace,
+                     roofline, simulate)
 
 __version__ = "0.1.0"

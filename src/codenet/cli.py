@@ -97,7 +97,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         trace, mems = memsim.ablation_case(args.op, dims, args.seed)
         if args.design:
-            mem = memsim.MemConfig(design=args.design, line_buffer_rows=args.rows, llc_routed=bool(args.llc))
+            mem = memsim.MemConfig(design=args.design, line_buffer_rows=args.rows,
+                                   llc_routed=bool(args.llc), llc_seed=args.seed + 1)
         else:
             mem = mems[args.llc]
         report = memsim.simulate(trace, mem, eng)

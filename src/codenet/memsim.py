@@ -25,7 +25,7 @@ identical seeds give identical hit/miss sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,45 +39,30 @@ LINE_BUFFER_MULTIPORT = "line_buffer_multiport"
 _DESIGNS = (BASELINE_DRAM, LLC, LINE_BUFFER, LINE_BUFFER_MULTIPORT)
 
 
-@dataclass(frozen=True)
-class LLCConfig:
-    size: int = 1 << 20          # 1 MiB
-    assoc: int = 16
-    line: int = 64
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        sets = self.size // (self.line * self.assoc)
-        if sets < 1 or sets & (sets - 1):
-            raise ValueError("cache size/assoc/line must give a power-of-two set count")
-
-    @property
-    def num_sets(self) -> int:
-        return self.size // (self.line * self.assoc)
+# The modeled hardware: fitted to the reference latencies of the paper's
+# ablation (tests/test_acceptance.py), a calibration rather than a datasheet.
+DRAM_LATENCY = 100          # cycles charged per request / per miss run
+DRAM_BYTES_PER_CYCLE = 24   # 6 GB/s at the 250 MHz engine clock
+LLC_HIT_CYCLES = 2
+BUFFER_HIT_CYCLES = 1
+BUFFER_PORT_BYTES = 8       # one 64-bit BRAM word per port per cycle
+OVERLAP = 0.25              # un-overlapped fraction of min(compute, memory)
+ACP_REQUEST_CYCLES = 35     # coherency-port overhead per cached request
+LLC_LINE = 64               # a 1 MiB, 16-way LLC with 64-byte lines
+LLC_WAYS = 16
+LLC_SETS = (1 << 20) // (LLC_LINE * LLC_WAYS)
 
 
 @dataclass(frozen=True)
 class MemConfig:
     design: str = LINE_BUFFER
-    llc: LLCConfig = field(default_factory=LLCConfig)
     line_buffer_rows: int = 15
-    dram_latency: int = 100      # cycles charged per request / per miss run
-    llc_hit_cycles: int = 2
-    buffer_hit_cycles: int = 1
-    dram_bandwidth: int = 24     # bytes per cycle (6 GB/s at 250 MHz)
-    buffer_port_bytes: int = 8   # one 64-bit BRAM word per port per cycle
-    overlap: float = 0.25        # un-overlapped fraction of min(compute, memory)
-    acp_request_cycles: int = 35  # coherency-port overhead per cached request
     llc_routed: bool = False     # line-buffer fills go through the cache port
+    llc_seed: int = 1            # seed of the LLC's replacement LFSR
 
     def __post_init__(self) -> None:
         if self.design not in _DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-
-    @property
-    def ports(self) -> int:
-        """Buffer read ports per cycle."""
-        return 3 if self.design == LINE_BUFFER_MULTIPORT else 1
 
 
 @dataclass(frozen=True)
@@ -171,46 +156,6 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
     )
 
 
-class _Lfsr16:
-    """16-bit Galois LFSR; the low bits pick replacement victims."""
-
-    _TAPS = 0xB400
-
-    def __init__(self, seed: int) -> None:
-        self.state = (seed & 0xFFFF) or 0xACE1
-
-    def next(self) -> int:
-        bit = self.state & 1
-        self.state >>= 1
-        if bit:
-            self.state ^= self._TAPS
-        return self.state
-
-
-class _Cache:
-    def __init__(self, cfg: LLCConfig) -> None:
-        self.cfg = cfg
-        self.sets: list[list[int]] = [[] for _ in range(cfg.num_sets)]
-        self.lfsr = _Lfsr16(cfg.seed)
-        self.hits = 0
-        self.misses = 0
-
-    def touch(self, line_addr: int) -> bool:
-        """Access one line; returns True on hit."""
-        idx = line_addr % self.cfg.num_sets
-        ways = self.sets[idx]
-        if line_addr in ways:
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.cfg.assoc:
-            victim = self.lfsr.next() % self.cfg.assoc
-            ways[victim] = line_addr
-        else:
-            ways.append(line_addr)
-        return False
-
-
 @dataclass(frozen=True)
 class SimReport:
     cycles: int
@@ -228,39 +173,56 @@ class SimReport:
     macs: int
 
 
-def _stream_cost(total_bytes: int, chunk_bytes: int, mem: MemConfig) -> int:
+def _request_cycles(nbytes: int) -> int:
+    """One DRAM request: its latency plus the streaming time of its bytes."""
+    return DRAM_LATENCY + math.ceil(nbytes / DRAM_BYTES_PER_CYCLE)
+
+
+def _stream_cost(total_bytes: int, chunk_bytes: int) -> int:
     """Contiguous stream broken into chunk-sized requests."""
     if total_bytes <= 0:
         return 0
     chunks = math.ceil(total_bytes / chunk_bytes)
-    per_chunk_bytes = math.ceil(total_bytes / chunks)
-    return chunks * (mem.dram_latency + math.ceil(per_chunk_bytes / mem.dram_bandwidth))
+    return chunks * _request_cycles(math.ceil(total_bytes / chunks))
 
 
-def _cache_cost(cache: _Cache, addrs: np.ndarray, nbytes: int, mem: MemConfig) -> int:
-    """Run input requests through the cache.
+_CHUNK = 4096  # addresses turned into Python ints at a time
 
-    Every line touched costs the hit latency; missing lines add the refill
-    stream time, and a request containing at least one miss pays the DRAM
-    latency once (the misses of one request burst together).
+
+def _cache_cost(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, int]:
+    """(cycles, line hits, line misses) of requests of ``nbytes`` at ``addrs``
+    on a cold LLC.
+
+    A miss fills a free way of its set, or else the way picked by a 16-bit
+    Galois LFSR (taps 0xB400) seeded with ``seed``. Every request pays the
+    coherency port overhead, every line the hit latency, every missing line
+    its refill time, and a request with a miss the DRAM latency once (the
+    misses of one request burst together).
     """
-    line = cache.cfg.line
-    fill = mem.llc_hit_cycles + math.ceil(line / mem.dram_bandwidth)
-    cycles = 0
-    for addr in addrs:
-        cycles += mem.acp_request_cycles
-        first = int(addr) // line
-        last = (int(addr) + nbytes - 1) // line
-        missed = False
-        for ln in range(first, last + 1):
-            if cache.touch(ln):
-                cycles += mem.llc_hit_cycles
-            else:
-                cycles += fill
+    sets: list[list[int]] = [[] for _ in range(LLC_SETS)]
+    state = (seed & 0xFFFF) or 0xACE1
+    hits = misses = missed_requests = 0
+    for start in range(0, addrs.size, _CHUNK):
+        chunk = addrs[start:start + _CHUNK]
+        for first, last in zip((chunk // LLC_LINE).tolist(), ((chunk + nbytes - 1) // LLC_LINE).tolist()):
+            missed = False
+            for ln in range(first, last + 1):
+                ways = sets[ln % LLC_SETS]
+                if ln in ways:
+                    hits += 1
+                    continue
+                misses += 1
                 missed = True
-        if missed:
-            cycles += mem.dram_latency
-    return cycles
+                if len(ways) < LLC_WAYS:
+                    ways.append(ln)
+                else:
+                    state = (state >> 1) ^ (0xB400 if state & 1 else 0)
+                    ways[state % LLC_WAYS] = ln
+            missed_requests += missed
+    fill = LLC_HIT_CYCLES + math.ceil(LLC_LINE / DRAM_BYTES_PER_CYCLE)
+    cycles = (int(addrs.size) * ACP_REQUEST_CYCLES + hits * LLC_HIT_CYCLES + misses * fill
+              + missed_requests * DRAM_LATENCY)
+    return cycles, hits, misses
 
 
 def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> SimReport:
@@ -282,9 +244,9 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
     off_total = trace.off_bytes_per_pos * oh * ow
     out_total = trace.out_bytes_per_pos * oh * ow
     stream_cycles = (
-        _stream_cost(off_total, ow * max(trace.off_bytes_per_pos, 1), mem)
-        + _stream_cost(trace.weight_bytes, trace.weight_bytes, mem)
-        + _stream_cost(out_total, ow * trace.out_bytes_per_pos, mem)
+        _stream_cost(off_total, ow * max(trace.off_bytes_per_pos, 1))
+        + _stream_cost(trace.weight_bytes, trace.weight_bytes)
+        + _stream_cost(out_total, ow * trace.out_bytes_per_pos)
     )
     dram_read = off_total + trace.weight_bytes
     dram_written = out_total
@@ -295,13 +257,11 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
 
     if mem.design == BASELINE_DRAM:
         n = int(trace.in_addr.size)
-        input_cycles = n * (mem.dram_latency + math.ceil(trace.in_bytes / mem.dram_bandwidth))
+        input_cycles = n * _request_cycles(trace.in_bytes)
         input_bytes = n * trace.in_bytes
     elif mem.design == LLC:
-        cache = _Cache(mem.llc)
-        input_cycles = _cache_cost(cache, trace.in_addr, trace.in_bytes, mem)
-        llc_hits, llc_misses = cache.hits, cache.misses
-        input_bytes = llc_misses * mem.llc.line
+        input_cycles, llc_hits, llc_misses = _cache_cost(trace.in_addr, trace.in_bytes, mem.llc_seed)
+        input_bytes = llc_misses * LLC_LINE
     else:
         # Line buffer: every input row is streamed into the buffer exactly
         # once; reads that fall behind the resident window go back to DRAM.
@@ -313,22 +273,21 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
         row_bytes = trace.in_bytes * trace.in_w
         fill_bytes = trace.in_h * row_bytes
         if mem.llc_routed:
-            cache = _Cache(mem.llc)
             row_addrs = np.arange(trace.in_h, dtype=np.int64) * row_bytes
-            fill_cycles = _cache_cost(cache, row_addrs, row_bytes, mem)
-            llc_hits, llc_misses = cache.hits, cache.misses
+            fill_cycles, llc_hits, llc_misses = _cache_cost(row_addrs, row_bytes, mem.llc_seed)
         else:
-            fill_cycles = _stream_cost(fill_bytes, row_bytes, mem)
-        viol_cycles = violations * (mem.dram_latency + math.ceil(trace.in_bytes / mem.dram_bandwidth))
+            fill_cycles = _stream_cost(fill_bytes, row_bytes)
+        viol_cycles = violations * _request_cycles(trace.in_bytes)
         input_cycles = fill_cycles + viol_cycles
         input_bytes = fill_bytes + violations * trace.in_bytes
         if trace.deformable:
-            words = buffer_hits * math.ceil(trace.in_bytes / mem.buffer_port_bytes)
-            feed = math.ceil(words * mem.buffer_hit_cycles / mem.ports)
+            words = buffer_hits * math.ceil(trace.in_bytes / BUFFER_PORT_BYTES)
+            ports = 3 if mem.design == LINE_BUFFER_MULTIPORT else 1
+            feed = math.ceil(words * BUFFER_HIT_CYCLES / ports)
             stalls = max(0, feed - compute)
 
     memory = input_cycles + stream_cycles
-    cycles = max(compute, memory) + stalls + math.ceil(mem.overlap * min(compute, memory))
+    cycles = max(compute, memory) + stalls + math.ceil(OVERLAP * min(compute, memory))
     clock_hz = eng.clock_mhz * 1e6
     latency_ms = cycles / clock_hz * 1e3
     gops = 2.0 * trace.macs / (cycles / clock_hz) / 1e9 if cycles else 0.0
@@ -356,19 +315,20 @@ class RooflineResult:
     bound: str | None
 
 
-def roofline(spec: ConvSpec, eng: EngineConfig | None = None, dram_gbps: float = 6.0,
+def roofline(spec: ConvSpec, eng: EngineConfig | None = None,
              dims: tuple[int, int, int, int] | None = None) -> RooflineResult:
     """Compute-bound threshold in OPs per loaded activation/weight pair.
 
     A pair is one 8-bit activation plus one 4-bit weight (1.5 bytes), so the
-    DRAM can deliver dram_gbps / 1.5 giga-pairs per second; the threshold is
+    DRAM, at DRAM_BYTES_PER_CYCLE of the engine clock, delivers its GB/s
+    divided by 1.5 giga-pairs per second; the threshold is
     the engine's peak GOPs divided by that rate. With ``dims`` the layer's
     own intensity (2 MACs per streamed pair, weights held on chip) is
     classified against the threshold.
     """
     eng = eng or EngineConfig()
     kind, macs, weights = engine_work(spec, dims or (1, 1, 1, 1))
-    gpairs = dram_gbps / 1.5
+    gpairs = DRAM_BYTES_PER_CYCLE * eng.clock_mhz / 1000.0 / 1.5
     threshold = eng.peak_gops(kind) / gpairs
     if dims is None:
         return RooflineResult(threshold, None, None)
@@ -419,15 +379,13 @@ def _ablation_offsets(op: str, oh: int, ow: int, rng: np.random.Generator) -> Of
 
 
 def _ablation_mem(op: str, llc: bool, llc_seed: int) -> MemConfig:
-    llc_cfg = LLCConfig(seed=llc_seed)
     if op == "deform":
-        design = LLC if llc else BASELINE_DRAM
-        return MemConfig(design=design, llc=llc_cfg)
+        return MemConfig(design=LLC if llc else BASELINE_DRAM, llc_seed=llc_seed)
     # Bounded offsets in [0, N] plus the kernel taps span 2N + 1 input rows
     # around the fill cursor, hence the 15-row buffer for N = 7.
     rows = 3 if op == "default" else 2 * ABLATION_BOUND + 1
     design = LINE_BUFFER_MULTIPORT if op == "square" else LINE_BUFFER
-    return MemConfig(design=design, llc=llc_cfg, line_buffer_rows=rows, llc_routed=llc)
+    return MemConfig(design=design, line_buffer_rows=rows, llc_routed=llc, llc_seed=llc_seed)
 
 
 def ablation_case(operation: str, dims: tuple[int, int, int, int],

@@ -110,5 +110,5 @@ class AccumTensor:
         info = np.iinfo(np.int32)
         if arr.size and (arr.min() < info.min or arr.max() > info.max):
             raise ValueError("accumulator value outside 32-bit range")
-        arr = arr.astype(np.int32).reshape(self.shape.dims)
+        arr = arr.astype(np.int32, copy=False).reshape(self.shape.dims)
         object.__setattr__(self, "data", _freeze(arr))

@@ -60,6 +60,14 @@ class TestBench:
                             "llc_hits,llc_misses,buffer_hits,stalls")
         assert lines[1].split(",")[1] == "dw_square"
 
+    def test_design_uses_the_seed_for_the_llc(self):
+        # the 48x48x512 map overflows the LLC, so its replacement seed shows
+        common = ("bench", "--op", "dw_deform", "--llc", "1", "--seed", "3", "--dims", "48,48,512,512")
+        recipe = run_cli(*common)
+        design = run_cli(*common, "--design", "llc")
+        assert recipe.returncode == design.returncode == 0
+        assert recipe.stdout == design.stdout
+
     def test_invalid_combination_exits_1(self):
         r = run_cli("bench", "--op", "dw_bound", "--design", "line_buffer_multiport",
                     "--dims", "16,16,16,16")

@@ -146,6 +146,16 @@ def test_bench_design_stdout_pinned(capsys, op, design, llc):
     assert _run(capsys, argv) == BENCH_DESIGN_SHA[(op, design, llc)]
 
 
+# stdout SHA-256 of `codenet bench --table2 --dims 48,48,512,512 --seed 3`: the
+# 1.18 MB map overflows the 1 MiB LLC, so the pin covers victim selection
+TABLE2_OVERFLOW_SHA = "d0d19c4a9a1e55be76e1bfcc960af4f30900b6661cb1efc24da7ba486ae9d5fa"
+
+
+def test_bench_table2_overflowing_llc_pinned(capsys):
+    argv = ["bench", "--table2", "--dims", "48,48,512,512", "--seed", "3"]
+    assert _run(capsys, argv) == (0, TABLE2_OVERFLOW_SHA)
+
+
 @pytest.mark.parametrize("offset_mode,offset_path", [
     (ops.BOUNDED_INT, "requant"),
     (ops.BOUNDED_INT, "direct"),

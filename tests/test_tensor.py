@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codenet.tensor import FloatTensor, QuantTensor, Shape4, symmetric_bounds
+from codenet.tensor import AccumTensor, FloatTensor, QuantTensor, Shape4, symmetric_bounds
 
 
 def test_new_tensor_zero_fill():
@@ -59,3 +59,14 @@ def test_immutable_after_construction():
     t = FloatTensor(Shape4(1, 1, 1, 1), np.ones(1))
     with pytest.raises(ValueError):
         t.data[0, 0, 0, 0] = 2.0
+
+
+def test_accum_int32_input_not_copied():
+    acc = np.arange(-6, 6, dtype=np.int32).reshape(1, 2, 2, 3)
+    before = acc.copy()
+    t = AccumTensor(Shape4(1, 2, 2, 3), acc)
+    assert np.shares_memory(t.data, acc)
+    assert not t.data.flags.writeable
+    assert acc.flags.writeable and np.array_equal(acc, before)
+    with pytest.raises(ValueError):
+        AccumTensor(Shape4(1, 1, 1, 1), np.array([2**31], dtype=np.int64))
