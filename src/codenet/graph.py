@@ -12,6 +12,8 @@ Nodes with two outputs (split) publish them as ``name#0`` and ``name#1``.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -425,8 +427,34 @@ def sigmoid_lut(delta: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-codes * delta))
 
 
-def _publish(values: dict, n: LayerNode, out) -> None:
-    values.update(zip(n.output_names, out if isinstance(out, tuple) else (out,)))
+def _check_image(g: NetworkGraph, shape: Shape4) -> None:
+    if (shape.h, shape.w, shape.c) != (g.resolution, g.resolution, 3):
+        raise GraphError(f"image dims {shape.dims} do not match config resolution {g.resolution}")
+
+
+def _run_nodes(g: NetworkGraph, image, run: Callable) -> dict:
+    """Run ``run(node, inputs)`` over the nodes in order, starting from the
+    ``input`` value, and return the values nothing reads (the heads).
+
+    Each value is dropped once its last consumer has read it, so a pass holds
+    only the values still to be read rather than every node output.
+    """
+    last_read = {i: k for k, n in enumerate(g.nodes) for i in n.inputs}
+    values = {"input": image}
+    for k, n in enumerate(g.nodes):
+        try:
+            xs = [values[i] for i in n.inputs]
+        except KeyError as e:
+            raise GraphError(f"node '{n.name}': missing input {e}") from None
+        for i in set(n.inputs):
+            if last_read[i] == k:
+                del values[i]
+        try:
+            out = run(n, xs)
+        except ValueError as e:
+            raise GraphError(f"node '{n.name}': {e}") from e
+        values.update(zip(n.output_names, out if isinstance(out, tuple) else (out,)))
+    return values
 
 
 def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, FloatTensor, FloatTensor]:
@@ -438,20 +466,8 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
     """
     if g.precision != "w4a8":
         raise GraphError("run_inference needs a quantized (w4a8) graph")
-    if (image.shape.h, image.shape.w, image.shape.c) != (g.resolution, g.resolution, 3):
-        raise GraphError(f"image dims {image.shape.dims} do not match config resolution {g.resolution}")
-    values: dict[str, QuantTensor] = {"input": image}
-
-    for n in g.nodes:
-        try:
-            xs = [values[i] for i in n.inputs]
-        except KeyError as e:
-            raise GraphError(f"node '{n.name}': missing input {e}") from None
-        try:
-            out = KINDS[n.kind].run_q(n, xs)
-        except ValueError as e:
-            raise GraphError(f"node '{n.name}': {e}") from e
-        _publish(values, n, out)
+    _check_image(g, image.shape)
+    values = _run_nodes(g, image, lambda n, xs: KINDS[n.kind].run_q(n, xs))
 
     yq = values[g.head_names[0]]
     sq = values[g.head_names[1]]
@@ -470,27 +486,29 @@ def run_inference_float(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float reference executor; mirrors the integer path op for op.
 
+    Values are float64, except that 3x3 and deformable nodes pass their input
+    and output through ``FloatTensor`` and so round both to float32; 1x1
+    nodes and pass-through ops stay in float64. The pins record this.
     Deformable offsets are rounded and clipped exactly as in deployment, so
     the two paths differ only by quantization error. When ``stats`` is given
     it accumulates the max absolute value seen at every conv output (used for
     activation calibration).
     """
-    values: dict[str, np.ndarray] = {"input": image.data.astype(np.float64)}
-
     def record(name: str, arr: np.ndarray) -> np.ndarray:
         if stats is not None:
             stats[name] = max(stats.get(name, 0.0), float(np.abs(arr).max()) if arr.size else 0.0)
         return arr
 
-    for n in g.nodes:
-        out = KINDS[n.kind].run_f(n, [values[i] for i in n.inputs], record)
+    def run(n: LayerNode, xs: list[np.ndarray]):
+        out = KINDS[n.kind].run_f(n, xs, record)
         if n.is_conv:
             out = out + n.b_fp
             if n.relu:
                 out = np.maximum(out, 0.0)
             record(n.name, out)
-        _publish(values, n, out)
+        return out
 
+    values = _run_nodes(g, image.data.astype(np.float64), run)
     y = 1.0 / (1.0 + np.exp(-values[g.head_names[0]]))
     return y, values[g.head_names[1]], values[g.head_names[2]]
 
@@ -548,9 +566,24 @@ def quantize_graph(
     if offset_path not in ops.OFFSET_PATHS:
         raise GraphError(f"unknown offset path {offset_path!r}; expected one of {ops.OFFSET_PATHS}")
 
-    stats: dict[str, float] = {}
     for img in calib_images:
-        run_inference_float(g, img, stats=stats)
+        _check_image(g, img.shape)
+
+    # One float pass per image, as many at once as there are CPUs: each pass
+    # does exactly the arithmetic of a sequential one, and its maxima are
+    # folded in image order, so the statistics do not depend on the count.
+    def calib_pass(img: FloatTensor) -> dict[str, float]:
+        own: dict[str, float] = {}
+        run_inference_float(g, img, stats=own)
+        return own
+
+    workers = min(len(calib_images), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers) as pool:
+        per_image = list(pool.map(calib_pass, calib_images))
+    stats: dict[str, float] = {}
+    for own in per_image:
+        for name, t in own.items():
+            stats[name] = max(stats.get(name, 0.0), t)
 
     groups = _union_find_groups(g)
     group_t: dict[str, float] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -55,6 +56,18 @@ def make_calib_images(resolution: int, count: int = 2, seed: int = 5) -> list[Fl
     return [FloatTensor(Shape4(1, resolution, resolution, 3),
                         rng.uniform(0, 1, size=(1, resolution, resolution, 3)).astype(np.float32))
             for _ in range(count)]
+
+
+def param_digest(gq: NetworkGraph) -> str:
+    """SHA-256 over the calibrated parameters of a quantized graph: the input
+    delta and every requant multiplier, shift, bias and output delta."""
+    h = hashlib.sha256(repr(gq.input_delta).encode())
+    for n in gq.nodes:
+        for rp in (n.rp, n.off_rp):
+            if rp is not None:
+                h.update(rp.multiplier.tobytes() + rp.shift.tobytes() + rp.bias.tobytes())
+                h.update(repr(rp.out_delta).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture

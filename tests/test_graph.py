@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,7 @@ from codenet.graph import (GraphError, LayerNode, build_codenet, count_cost,
 from codenet.quant import QuantParams, RequantParams, quantize
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
-from conftest import make_calib_images, make_tiny_graph
+from conftest import make_calib_images, make_tiny_graph, param_digest
 from oracles import conv2d_loop
 
 
@@ -249,6 +254,99 @@ class TestFloatVsInt:
         assert np.max(np.abs(sq.data - sf)) <= bound_s
         assert np.max(np.abs(oq.data - of)) <= bound_o
         assert np.max(np.abs(yq.data - yf)) <= bound_y / 4  # sigmoid is 1/4-Lipschitz
+
+
+class TestCalibration:
+    """quantize_graph runs one float pass per image, several at once."""
+
+    @pytest.mark.parametrize("make_graph, dims", [
+        (make_tiny_graph, (32, 32, 3)),   # twice the tiny graph's 16x16
+        (make_tiny_graph, (16, 16, 4)),   # a fourth channel
+        (lambda: build_codenet("a"), (128, 128, 3)),
+    ])
+    def test_rejects_images_that_do_not_fit(self, make_graph, dims):
+        g = make_graph()
+        good = make_calib_images(g.resolution, count=1)[0]
+        bad = FloatTensor(Shape4(1, *dims), np.zeros((1, *dims), dtype=np.float32))
+        with pytest.raises(GraphError, match=f"image dims .* resolution {g.resolution}"):
+            quantize_graph(g, [good, bad])
+
+    def test_image_order_does_not_change_parameters(self):
+        g = make_tiny_graph(seed=3, deform=True)
+        a, b, c = make_calib_images(16, count=3, seed=21)
+        assert param_digest(quantize_graph(g, [a, b, c])) == param_digest(quantize_graph(g, [c, a, b]))
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_one_cpu_gives_the_same_parameters(self):
+        # the affinity call acts on the child only; there quantize_graph runs
+        # its passes one after another in a single worker
+        script = ("import os; os.sched_setaffinity(0, {0})\n"
+                  "from conftest import make_calib_images, make_tiny_graph, param_digest\n"
+                  "from codenet.graph import quantize_graph\n"
+                  "g = make_tiny_graph(seed=3, deform=True)\n"
+                  "print(param_digest(quantize_graph(g, make_calib_images(16, count=3, seed=21))))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        g = make_tiny_graph(seed=3, deform=True)
+        assert child.stdout.strip() == param_digest(quantize_graph(g, make_calib_images(16, count=3, seed=21)))
+
+    def test_failing_pass_reraises_in_caller(self, monkeypatch):
+        images = make_calib_images(16, count=3)
+        err = RuntimeError("pass failed")
+        real = G.run_inference_float
+
+        def run(g, image, stats=None):
+            if image is images[1]:
+                raise err
+            return real(g, image, stats=stats)
+
+        monkeypatch.setattr(G, "run_inference_float", run)
+        with pytest.raises(RuntimeError) as caught:
+            quantize_graph(make_tiny_graph(), images)
+        assert caught.value is err
+
+    def test_float_pass_frees_dead_values(self):
+        g = build_codenet("a")
+        img = make_calib_images(g.resolution, count=1)[0]
+        shapes = G._out_shapes(g)
+        outputs = sum(8 * np.prod(shapes[o]) for n in g.nodes for o in n.output_names)
+        tracemalloc.start()
+        try:
+            run_inference_float(g, img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * outputs
+
+    def test_inputs_unchanged(self):
+        g = make_tiny_graph(seed=3, deform=True)
+        images = make_calib_images(16, count=2)
+
+        def float_params():
+            return [a for n in g.nodes for a in (n.w_fp, n.b_fp, n.off_w_fp, n.off_b_fp) if a is not None]
+
+        params = [a.copy() for a in float_params()]
+        pixels = [img.data.copy() for img in images]
+        run_inference_float(g, images[0])
+        quantize_graph(g, images)
+        assert all(np.array_equal(x, y) for x, y in zip(params, float_params(), strict=True))
+        assert all(np.array_equal(x, img.data) for x, img in zip(pixels, images, strict=True))
+
+    def test_stats_accumulate_maxima_across_calls(self):
+        g = make_tiny_graph(seed=3, deform=True)
+        a, b = make_calib_images(16, count=2, seed=22)
+        sa: dict[str, float] = {}
+        sb: dict[str, float] = {}
+        both: dict[str, float] = {}
+        run_inference_float(g, a, stats=sa)
+        run_inference_float(g, b, stats=sb)
+        run_inference_float(g, a, stats=both)
+        run_inference_float(g, b, stats=both)
+        assert set(sa) == {"stem", "pw", "dw", "dw/off", "head_y", "head_s", "head_o"}
+        assert sa != sb
+        assert both == {k: max(sa[k], sb[k]) for k in sa}
 
 
 class TestFirstLayerHost:
