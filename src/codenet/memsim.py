@@ -20,7 +20,10 @@ Four designs are modeled:
                          reads per cycle are conflict free)
 
 The cache uses pseudo-random replacement driven by a seeded 16-bit LFSR, so
-identical seeds give identical hit/miss sequences.
+identical seeds give identical hit/miss sequences. Where the LFSR's choice
+cannot change a count, the cache is counted in closed form with the same
+result as the replay (see _cache_cost): when no line is touched twice, and
+when every touched line fits the cache without an eviction.
 """
 from __future__ import annotations
 
@@ -63,6 +66,8 @@ class MemConfig:
     def __post_init__(self) -> None:
         if self.design not in _DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
+        if self.line_buffer_rows < 1:
+            raise ValueError(f"a line buffer needs at least one row, got {self.line_buffer_rows}")
 
 
 @dataclass(frozen=True)
@@ -186,25 +191,81 @@ def _stream_cost(total_bytes: int, chunk_bytes: int) -> int:
     return chunks * _request_cycles(math.ceil(total_bytes / chunks))
 
 
-_CHUNK = 4096  # addresses turned into Python ints at a time
+_CHUNK = 4096  # requests turned into Python ints at a time
 
 
 def _cache_cost(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, int]:
     """(cycles, line hits, line misses) of requests of ``nbytes`` at ``addrs``
     on a cold LLC.
 
-    A miss fills a free way of its set, or else the way picked by a 16-bit
-    Galois LFSR (taps 0xB400) seeded with ``seed``. Every request pays the
-    coherency port overhead, every line the hit latency, every missing line
-    its refill time, and a request with a miss the DRAM latency once (the
-    misses of one request burst together).
+    Request i touches lines ``firsts[i]..lasts[i]`` in order. A miss fills a
+    free way of its set, or else the way picked by a 16-bit Galois LFSR (taps
+    0xB400) seeded with ``seed``. Every request pays the coherency port
+    overhead, every line the hit latency, every missing line its refill time,
+    and a request with a miss the DRAM latency once (the misses of one
+    request burst together).
+
+    The general path replays every touch through the sets (_lfsr_counts).
+    Two kinds of stream are counted in closed form instead, because no choice
+    of victim can change a count there:
+
+    * No line is touched twice (``firsts[1:] > lasts[:-1]``, as in row fills
+      of whole lines): every touch is its line's first, so it misses, every
+      request that touches a line misses, and no victim is ever read again.
+    * The footprint fits (``lasts.max() - firsts.min() < LLC_SETS *
+      LLC_WAYS``): the touched lines are fewer than LLC_SETS * LLC_WAYS
+      consecutive ones, so no set ever holds more than LLC_WAYS of them and
+      nothing is evicted. A touch then misses exactly when it is its line's
+      first, and a request misses exactly when it holds some line's first
+      touch.
     """
+    if addrs.size == 0:
+        return 0, 0, 0
+    firsts = addrs // LLC_LINE
+    lasts = (addrs + nbytes - 1) // LLC_LINE
+    lengths = np.maximum(lasts - firsts + 1, 0)  # lines per request
+    if np.all(firsts[1:] > lasts[:-1]):
+        hits, misses, missed_requests = 0, int(lengths.sum()), int(np.count_nonzero(lengths))
+    elif lasts.max() - firsts.min() < LLC_SETS * LLC_WAYS:
+        hits, misses, missed_requests = _first_touches(firsts, lengths)
+    else:
+        hits, misses, missed_requests = _lfsr_counts(firsts, lasts, seed)
+    fill = LLC_HIT_CYCLES + math.ceil(LLC_LINE / DRAM_BYTES_PER_CYCLE)
+    cycles = (int(addrs.size) * ACP_REQUEST_CYCLES + hits * LLC_HIT_CYCLES + misses * fill
+              + missed_requests * DRAM_LATENCY)
+    return cycles, hits, misses
+
+
+def _first_touches(firsts: np.ndarray, lengths: np.ndarray) -> tuple[int, int, int]:
+    """(hits, misses, missed requests) of requests whose lines all lie within
+    LLC_SETS * LLC_WAYS of ``firsts.min()``, on an LLC that evicts nothing:
+    the earliest request to touch a line misses on it, every later touch hits.
+
+    One pass per line offset within a request keeps every temporary as small
+    as the request count or the LLC's line capacity.
+    """
+    n = firsts.size
+    first_req = np.full(LLC_SETS * LLC_WAYS, n, dtype=np.int64)  # by line - firsts.min()
+    rel = firsts - firsts.min()
+    reqs = np.arange(n, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        sel = lengths > k
+        np.minimum.at(first_req, rel[sel] + k, reqs[sel])
+    first_req = first_req[first_req < n]
+    missed = np.zeros(n, dtype=bool)
+    missed[first_req] = True
+    misses = int(first_req.size)
+    return int(lengths.sum()) - misses, misses, int(np.count_nonzero(missed))
+
+
+def _lfsr_counts(firsts: np.ndarray, lasts: np.ndarray, seed: int) -> tuple[int, int, int]:
+    """(hits, misses, missed requests) of the line touches, replayed through
+    the sets with LFSR victim selection."""
     sets: list[list[int]] = [[] for _ in range(LLC_SETS)]
     state = (seed & 0xFFFF) or 0xACE1
     hits = misses = missed_requests = 0
-    for start in range(0, addrs.size, _CHUNK):
-        chunk = addrs[start:start + _CHUNK]
-        for first, last in zip((chunk // LLC_LINE).tolist(), ((chunk + nbytes - 1) // LLC_LINE).tolist()):
+    for start in range(0, firsts.size, _CHUNK):
+        for first, last in zip(firsts[start:start + _CHUNK].tolist(), lasts[start:start + _CHUNK].tolist()):
             missed = False
             for ln in range(first, last + 1):
                 ways = sets[ln % LLC_SETS]
@@ -219,10 +280,7 @@ def _cache_cost(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, in
                     state = (state >> 1) ^ (0xB400 if state & 1 else 0)
                     ways[state % LLC_WAYS] = ln
             missed_requests += missed
-    fill = LLC_HIT_CYCLES + math.ceil(LLC_LINE / DRAM_BYTES_PER_CYCLE)
-    cycles = (int(addrs.size) * ACP_REQUEST_CYCLES + hits * LLC_HIT_CYCLES + misses * fill
-              + missed_requests * DRAM_LATENCY)
-    return cycles, hits, misses
+    return hits, misses, missed_requests
 
 
 def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> SimReport:

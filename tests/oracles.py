@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from codenet.memsim import (ACP_REQUEST_CYCLES, DRAM_BYTES_PER_CYCLE, DRAM_LATENCY, LLC_HIT_CYCLES,
+                            LLC_LINE, LLC_SETS, LLC_WAYS)
+
 
 def quantize_scalar(x: float, t: float, bits: int) -> int:
     """Clamp, scale, round half away from zero; one scalar at a time."""
@@ -153,3 +156,44 @@ def peaks_exhaustive(hm: np.ndarray, top_k: int = 100) -> list[tuple[int, int, i
                     found.append((ch, x, y, float(v)))
     found.sort(key=lambda p: (-p[3], p[0], p[2], p[1]))
     return found[:top_k]
+
+
+# The LLC as one scalar loop over every line touch, with no closed-form
+# shortcut: memsim._cache_cost must return the same triple on any stream.
+_CHUNK = 4096
+
+
+def cache_cost_loop(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, int]:
+    """(cycles, line hits, line misses) of requests of ``nbytes`` at ``addrs``
+    on a cold LLC.
+
+    A miss fills a free way of its set, or else the way picked by a 16-bit
+    Galois LFSR (taps 0xB400) seeded with ``seed``. Every request pays the
+    coherency port overhead, every line the hit latency, every missing line
+    its refill time, and a request with a miss the DRAM latency once (the
+    misses of one request burst together).
+    """
+    sets: list[list[int]] = [[] for _ in range(LLC_SETS)]
+    state = (seed & 0xFFFF) or 0xACE1
+    hits = misses = missed_requests = 0
+    for start in range(0, addrs.size, _CHUNK):
+        chunk = addrs[start:start + _CHUNK]
+        for first, last in zip((chunk // LLC_LINE).tolist(), ((chunk + nbytes - 1) // LLC_LINE).tolist()):
+            missed = False
+            for ln in range(first, last + 1):
+                ways = sets[ln % LLC_SETS]
+                if ln in ways:
+                    hits += 1
+                    continue
+                misses += 1
+                missed = True
+                if len(ways) < LLC_WAYS:
+                    ways.append(ln)
+                else:
+                    state = (state >> 1) ^ (0xB400 if state & 1 else 0)
+                    ways[state % LLC_WAYS] = ln
+            missed_requests += missed
+    fill = LLC_HIT_CYCLES + math.ceil(LLC_LINE / DRAM_BYTES_PER_CYCLE)
+    cycles = (int(addrs.size) * ACP_REQUEST_CYCLES + hits * LLC_HIT_CYCLES + misses * fill
+              + missed_requests * DRAM_LATENCY)
+    return cycles, hits, misses

@@ -73,6 +73,13 @@ class TestBench:
                     "--dims", "16,16,16,16")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_line_buffer_without_rows_exits_1(self, rows):
+        r = run_cli("bench", "--op", "dw_square", "--design", "line_buffer", "--rows", rows,
+                    "--dims", "16,16,16,16")
+        assert r.returncode == 1
+        assert "line_buffer,dw_square" not in r.stdout
+
     def test_bad_dims_exit_1(self):
         assert run_cli("bench", "--table2", "--dims", "16,16").returncode == 1
 

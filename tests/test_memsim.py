@@ -8,6 +8,8 @@ from codenet.memsim import (ABLATION_BOUND, BASELINE_DRAM, LINE_BUFFER,
                             row_to_csv, simulate, table_speedups)
 from codenet.ops import BOUNDED_INT, FREE_INT, SQUARE, ConvSpec, OffsetField
 
+from oracles import cache_cost_loop
+
 DIMS = (16, 16, 16, 16)
 
 
@@ -101,18 +103,32 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(trace, MemConfig(design=LINE_BUFFER_MULTIPORT))
 
+    @staticmethod
+    def _no_samples(macs: int) -> memsim.Trace:
+        """A dw trace at DIMS whose every sample falls outside the map."""
+        return memsim.Trace(kind="dw", dims=DIMS, in_h=16, in_w=16, macs=macs,
+                            deformable=False, square=False,
+                            in_addr=np.array([], dtype=np.int64),
+                            in_row=np.array([], dtype=np.int64),
+                            in_out_row=np.array([], dtype=np.int64),
+                            in_bytes=16, off_bytes_per_pos=0, weight_bytes=0,
+                            out_bytes_per_pos=16)
+
     def test_zero_trace(self):
-        trace = gen_trace(_dw_spec(), None, DIMS)
-        empty = memsim.Trace(kind="dw", dims=trace.dims, in_h=16, in_w=16, macs=0,
-                             deformable=False, square=False,
-                             in_addr=np.array([], dtype=np.int64),
-                             in_row=np.array([], dtype=np.int64),
-                             in_out_row=np.array([], dtype=np.int64),
-                             in_bytes=16, off_bytes_per_pos=0, weight_bytes=0,
-                             out_bytes_per_pos=16)
-        rep = simulate(empty, MemConfig(design=BASELINE_DRAM))
+        rep = simulate(self._no_samples(0), MemConfig(design=BASELINE_DRAM))
         assert rep.cycles == 0
         assert rep.dram_bytes_read == 0 and rep.dram_bytes_written == 0
+
+    def test_empty_llc_trace_with_macs(self):
+        # the LLC prices no request, the engines still compute
+        rep = simulate(self._no_samples(1000), MemConfig(design=LLC))
+        assert (rep.llc_hits, rep.llc_misses, rep.input_cycles, rep.input_dram_bytes) == (0, 0, 0, 0)
+        assert rep.cycles > 0 and rep.macs == 1000
+
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_line_buffer_needs_a_row(self, rows):
+        with pytest.raises(ValueError):
+            MemConfig(design=LINE_BUFFER, line_buffer_rows=rows)
 
     def test_seeded_replacement_deterministic(self):
         # a 48x48x512 map (1.18 MB) overflows the 1 MiB LLC, so victims matter
@@ -215,3 +231,102 @@ class TestAblation:
     def test_csv_shape(self, rows):
         line = row_to_csv(rows[0])
         assert len(line.split(",")) == len(memsim.CSV_HEADER.split(","))
+
+
+CAPACITY = LLC_SETS * memsim.LLC_WAYS  # lines the LLC holds
+
+
+def _stream(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, int, str]:
+    """(addresses, request bytes, the path _cache_cost must take) of one
+    request stream: "disjoint" (no line touched twice), "fits" (the lines
+    span at most the LLC's capacity) or "loop" (neither, so LFSR victims)."""
+    if kind == "random_fits":
+        return rng.integers(0, 1 << 19, 3000), int(rng.integers(1, 301)), "fits"
+    if kind == "random_overflows":
+        return rng.integers(0, 1 << 22, 3000), int(rng.integers(1, 301)), "loop"
+    if kind == "span_16384":
+        # both end lines present, above line 0, every line at least once
+        lines = np.concatenate([np.arange(CAPACITY), rng.integers(0, CAPACITY, 4000)])
+        return (rng.permutation(lines) + 1000) * LLC_LINE, LLC_LINE, "fits"
+    if kind == "span_16385":
+        # one set receives 17 lines, so the second pass rereads a victim
+        lines = np.arange(CAPACITY + 1)
+        return (np.concatenate([lines, lines]) + 7) * LLC_LINE, LLC_LINE, "loop"
+    if kind == "sorted_disjoint":
+        gaps = rng.integers(4, 40, 6000)  # a request spans at most 4 lines
+        return np.cumsum(gaps) * LLC_LINE + 5, 200, "disjoint"
+    if kind == "shared_line":
+        # request i + 1 starts in the line request i ends in
+        return np.arange(20000) * 100, 100, "loop"
+    raise ValueError(kind)
+
+
+class TestCacheCostOracle:
+    """memsim._cache_cost against the scalar LFSR loop of the oracles."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        taken = []
+        for name in ("_first_touches", "_lfsr_counts"):
+            def spy(*args, _real=getattr(memsim, name), _name=name):
+                taken.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(memsim, name, spy)
+        return taken
+
+    @pytest.mark.parametrize("kind", ["random_fits", "random_overflows", "span_16384", "span_16385",
+                                      "sorted_disjoint", "shared_line"])
+    def test_equals_loop(self, paths, kind):
+        rng = np.random.default_rng([31, len(kind)])
+        addrs, nbytes, path = _stream(kind, rng)
+        addrs = addrs.astype(np.int64)
+        for seed in (1, 2):
+            assert memsim._cache_cost(addrs, nbytes, seed) == cache_cost_loop(addrs, nbytes, seed)
+        want = {"disjoint": [], "fits": ["_first_touches"], "loop": ["_lfsr_counts"]}[path]
+        assert paths == want * 2
+
+    def test_victims_matter_past_capacity(self):
+        rng = np.random.default_rng(0)
+        addrs, nbytes, _ = _stream("span_16385", rng)
+        _, hits, misses = memsim._cache_cost(addrs.astype(np.int64), nbytes, 1)
+        assert misses > CAPACITY + 1 and hits + misses == addrs.size
+
+    def test_unaligned_request_sizes(self):
+        rng = np.random.default_rng(5)
+        for nbytes in range(1, 301):
+            hi = int(rng.choice([1 << 14, 1 << 21]))
+            addrs = rng.integers(0, hi, 120)
+            if nbytes % 3 == 0:
+                addrs = np.sort(addrs)
+            if nbytes % 5 == 0:
+                addrs = np.arange(120) * nbytes + int(rng.integers(0, 64))
+            for a in (addrs.astype(np.int64), np.sort(addrs).astype(np.int64) * 7):
+                assert memsim._cache_cost(a, nbytes, 3) == cache_cost_loop(a, nbytes, 3), nbytes
+
+    @pytest.mark.parametrize("nbytes", [0, -1, -200])
+    def test_requests_of_no_bytes(self, nbytes):
+        # a request of n <= 0 bytes touches no line, or one if unaligned
+        rng = np.random.default_rng(9)
+        for addrs in (np.arange(50) * 64, np.arange(50) * 97 + 3, rng.integers(0, 1 << 21, 50)):
+            a = addrs.astype(np.int64)
+            assert memsim._cache_cost(a, nbytes, 1) == cache_cost_loop(a, nbytes, 1)
+
+    @pytest.mark.parametrize("addrs", [[], [0], [63], [12345678]])
+    @pytest.mark.parametrize("nbytes", [1, 64, 65, 300, 1 << 21])
+    def test_empty_and_single_request(self, addrs, nbytes):
+        a = np.array(addrs, dtype=np.int64)
+        assert memsim._cache_cost(a, nbytes, 1) == cache_cost_loop(a, nbytes, 1)
+        if not addrs:
+            assert memsim._cache_cost(a, nbytes, 1) == (0, 0, 0)
+
+    def test_paper_grid_takes_no_loop(self, paths):
+        # the paper map is exactly the LLC's capacity and its fills are whole
+        # lines, so no call of the grid replays LFSR victims
+        ablation_table((64, 64, 256, 256), seed=1)
+        assert paths and "_lfsr_counts" not in paths
+
+    @pytest.mark.parametrize("op", ["dw_deform", "full_deform"])
+    def test_paper_deform_trace(self, op):
+        trace, _ = ablation_case(op, (64, 64, 256, 256), seed=4)
+        assert (memsim._cache_cost(trace.in_addr, trace.in_bytes, 5)
+                == cache_cost_loop(trace.in_addr, trace.in_bytes, 5))

@@ -156,6 +156,21 @@ def test_bench_table2_overflowing_llc_pinned(capsys):
     assert _run(capsys, argv) == (0, TABLE2_OVERFLOW_SHA)
 
 
+# stdout SHA-256 of `codenet bench --table2` at the two benchmark dims: the
+# paper map fills the LLC exactly, the 4x map overflows it (its whole-line row
+# fills touch no line twice, its deform rows replay LFSR victims)
+TABLE2_BENCH_SHA = {
+    ("64,64,256,256", "1"): "1568e0ee52148904660a344657adfc75ba4e871bdd5c407469c264cd035270b4",
+    ("128,128,256,256", "2"): "9ea239243194b86fdacc57c7ef1a2683ff405c917622885785021b3519e3f0e9",
+}
+
+
+@pytest.mark.parametrize("dims,seed", sorted(TABLE2_BENCH_SHA))
+def test_bench_table2_benchmark_dims_pinned(capsys, dims, seed):
+    argv = ["bench", "--table2", "--dims", dims, "--seed", seed]
+    assert _run(capsys, argv) == (0, TABLE2_BENCH_SHA[(dims, seed)])
+
+
 @pytest.mark.parametrize("offset_mode,offset_path", [
     (ops.BOUNDED_INT, "requant"),
     (ops.BOUNDED_INT, "direct"),
