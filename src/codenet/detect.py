@@ -130,13 +130,12 @@ def _ap_from_curve(recall: np.ndarray, precision: np.ndarray, interpolation: str
 def ap50(
     detections: list[Detection],
     ground_truths: list[GroundTruth],
-    iou_threshold: float = 0.5,
     interpolation: str = "all_point",
 ) -> float:
-    """Average precision at a single IoU threshold, macro-averaged by class.
+    """Average precision at IoU 0.5, macro-averaged by class.
 
     Detections are matched greedily in confidence order; each ground truth
-    can absorb one detection and a match needs IoU >= threshold. Classes with
+    can absorb one detection and a match needs IoU >= 0.5. Classes with
     no ground truth are skipped; an empty ground-truth set is an error.
     """
     if not ground_truths:
@@ -151,7 +150,7 @@ def ap50(
         tps = np.zeros(len(order))
         fps = np.zeros(len(order))
         for rank, i in enumerate(order):
-            best, best_iou = None, iou_threshold
+            best, best_iou = None, 0.5
             for j, g in enumerate(gts):
                 if matched[j]:
                     continue

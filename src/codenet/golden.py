@@ -209,14 +209,14 @@ def _replay(op: str, tensors: dict[str, np.ndarray], rp: RequantParams) -> np.nd
     if op in ("dw3x3", "dw3x3_s2"):
         stride = 2 if op.endswith("s2") else 1
         return ops.dw3x3_q(_qt(tensors["x"], 8), _qt(tensors["w"], 4),
-                           ops.ConvSpec(3, stride, True, 1), rp).data
+                           ops.ConvSpec(3, stride, True), rp).data
     square = bool(tensors["off_mode"][0])
     if square:
         off = ops.OffsetField(ops.SQUARE, tensors["off"].astype(np.int64), lo=0, hi=7)
     else:
         off = ops.OffsetField(ops.BOUNDED_INT, tensors["off"].astype(np.int64), lo=-8, hi=7)
     return ops.deform_conv_q(_qt(tensors["x"], 8), _qt(tensors["w"], 4), off,
-                             ops.ConvSpec(3, 1, True, 1), rp).data
+                             ops.ConvSpec(3, 1, True), rp).data
 
 
 def verify(directory: str) -> list[str]:

@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -31,6 +31,8 @@ STAGE_BLOCKS = (4, 8, 4)
 # by 1.5x so the doubled network stays inside its compute budget.
 DECODER_WIDTHS = {1: (1024, 256, 64), 2: (2048, 384, 64)}
 OUTPUT_STRIDE = 4
+# The three pointwise heads: keypoint heatmap, box sizes, center offsets.
+HEADS = ("head_y", "head_s", "head_o")
 OFFSET_RANGE = (-8, 7)
 
 CONFIGS = {
@@ -190,7 +192,7 @@ class LayerNode:
     @property
     def spec(self) -> ops.ConvSpec:
         k = KINDS[self.kind]
-        return ops.ConvSpec(k.kernel, self.stride, k.depthwise, k.kernel // 2)
+        return ops.ConvSpec(k.kernel, self.stride, k.depthwise)
 
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
@@ -218,8 +220,7 @@ class NetworkGraph:
     classes: int
     precision: str = "fp32"
     input_delta: float = 1.0 / 127.0
-    stride_out: int = OUTPUT_STRIDE
-    head_names: tuple[str, str, str] = ("head_y", "head_s", "head_o")
+    stride_out: ClassVar[int] = OUTPUT_STRIDE
 
     def node(self, name: str) -> LayerNode:
         for n in self.nodes:
@@ -351,9 +352,8 @@ def build_codenet(
         cur = b.add(LayerNode(f"{p}_up", "upsample2x_nearest", (cur,), ic=out_c, oc=out_c))
         in_c = out_c
 
-    b.conv("head_y", "conv1x1", cur, in_c, classes)
-    b.conv("head_s", "conv1x1", cur, in_c, 2)
-    b.conv("head_o", "conv1x1", cur, in_c, 2)
+    for name, oc in zip(HEADS, (classes, 2, 2)):
+        b.conv(name, "conv1x1", cur, in_c, oc)
 
     g = NetworkGraph(b.nodes, config=config, resolution=resolution, width_mult=mult,
                      downsample=downsample, classes=classes)
@@ -429,7 +429,9 @@ def sigmoid_lut(delta: float) -> np.ndarray:
 
 def _check_image(g: NetworkGraph, shape: Shape4) -> None:
     if (shape.h, shape.w, shape.c) != (g.resolution, g.resolution, 3):
-        raise GraphError(f"image dims {shape.dims} do not match config resolution {g.resolution}")
+        r = g.resolution
+        raise GraphError(f"image dims {shape.dims} do not match config resolution {r}: "
+                         f"it needs {r}x{r}x3")
 
 
 def _run_nodes(g: NetworkGraph, image, run: Callable) -> dict:
@@ -465,17 +467,14 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
     dequantized to reals. Execution is bit-deterministic.
     """
     if g.precision != "w4a8":
-        raise GraphError("run_inference needs a quantized (w4a8) graph")
+        raise GraphError(f"graph is {g.precision}, not w4a8; quantize it first")
     _check_image(g, image.shape)
     values = _run_nodes(g, image, lambda n, xs: KINDS[n.kind].run_q(n, xs))
-
-    yq = values[g.head_names[0]]
-    sq = values[g.head_names[1]]
-    oq = values[g.head_names[2]]
-    lut = sigmoid_lut(g.node(g.head_names[0]).rp.out_delta)
-    y = lut[yq.data.astype(np.int32) + 128]
-    s = sq.data.astype(np.float64) * g.node(g.head_names[1]).rp.out_delta
-    o = oq.data.astype(np.float64) * g.node(g.head_names[2]).rp.out_delta
+    yq, sq, oq = (values[h] for h in HEADS)
+    dy, ds, do = (g.node(h).rp.out_delta for h in HEADS)
+    y = sigmoid_lut(dy)[yq.data.astype(np.int32) + 128]
+    s = sq.data.astype(np.float64) * ds
+    o = oq.data.astype(np.float64) * do
     return FloatTensor(yq.shape, y), FloatTensor(sq.shape, s), FloatTensor(oq.shape, o)
 
 
@@ -509,8 +508,8 @@ def run_inference_float(
         return out
 
     values = _run_nodes(g, image.data.astype(np.float64), run)
-    y = 1.0 / (1.0 + np.exp(-values[g.head_names[0]]))
-    return y, values[g.head_names[1]], values[g.head_names[2]]
+    y, s, o = (values[h] for h in HEADS)
+    return 1.0 / (1.0 + np.exp(-y)), s, o
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +559,7 @@ def quantize_graph(
     """Post-training quantization: 4-bit per-channel weights, 8-bit per-layer
     activations, fixed-point requantization parameters per conv."""
     if g.precision != "fp32":
-        raise GraphError("graph is already quantized")
+        raise GraphError(f"graph is {g.precision}, not fp32")
     if not calib_images:
         raise GraphError("calibration needs at least one image")
     if offset_path not in ops.OFFSET_PATHS:

@@ -461,7 +461,7 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
         raise ValueError(operation)
     h, w, ic, oc = dims
     depthwise = half == "dw"
-    spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise, padding=1)
+    spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise)
     rng = np.random.default_rng([seed, _HALVES.index(half), _OPERATIONS.index(op)])
     trace = gen_trace(spec, _ablation_offsets(op, h, w, rng), (h, w, ic, ic if depthwise else oc))
     return trace, (_ablation_mem(op, False, llc_seed=seed + 1), _ablation_mem(op, True, llc_seed=seed + 1))

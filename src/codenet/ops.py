@@ -5,10 +5,11 @@ Weight layout conventions (NHWC-friendly, output channels contiguous):
   depthwise  : shape (1, k, k, c)
   1 x 1      : shape (ic, 1, 1, oc)
 
-Deformable sampling is anchored at the output-aligned window center, so a
-3x3 kernel at stride 1 / pad 1 with zero displacements reduces exactly to the
-regular convolution. ``tap_positions`` is the one place that turns an offset
-field into sampled positions, for both deformable kernels and memsim traces.
+Every kernel is zero-padded by kernel // 2, so the window of output (y, x) is
+centered on input (y, x) * stride, and a deformable 3x3 kernel with zero
+displacements reduces exactly to the regular convolution. ``tap_positions``
+is the one place that turns an offset field into sampled positions, for both
+deformable kernels and memsim traces.
 Integer kernels gather whole pixels (no interpolation), sum code products
 exactly (in float32 under the bound of ``_acc_dtype``, so BLAS can do the
 work) and requantize the 32-bit accumulator to 8-bit codes; out-of-bounds
@@ -43,22 +44,23 @@ def offset_channels(mode: str) -> int:
 
 @dataclass(frozen=True)
 class ConvSpec:
+    """A convolution's shape. The input is zero-padded by kernel // 2 on each
+    side, so the window of output (y, x) is centered on input
+    (y, x) * stride and the output is ceil(h / stride) x ceil(w / stride)."""
+
     kernel: int = 3
     stride: int = 1
     depthwise: bool = False
-    padding: int = 1
 
     def __post_init__(self) -> None:
         if self.kernel not in (1, 3):
             raise ValueError("kernel must be 1 or 3")
         if self.stride not in (1, 2, 4):
             raise ValueError("stride must be 1, 2 or 4")
-        if self.padding < 0:
-            raise ValueError("padding must be non-negative")
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
+        oh = (h - 1) // self.stride + 1
+        ow = (w - 1) // self.stride + 1
         if oh < 1 or ow < 1:
             raise ValueError("spatial dims collapse to zero")
         return oh, ow
@@ -157,16 +159,14 @@ def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> 
     """Input (row, column) sampled by each tap of each output position, two
     arrays of shape (n, oh, ow, taps); n is 1 without an offset field.
 
-    The window of output (y, x) is centered at (y, x) * stride - padding +
-    kernel // 2; a 1x1 kernel has a single tap at the center. A tap samples
-    its grid position plus its displacement, added in that order so float
-    positions round once. Square displacements are already absolute tap
+    The window of output (y, x) is centered at (y, x) * stride; a 1x1 kernel
+    has a single tap at the center. A tap samples its grid position plus its
+    displacement, added in that order so float positions round once. Square displacements are already absolute tap
     positions around the center and replace the grid.
     """
     taps = TAPS if spec.kernel == 3 else np.zeros((1, 2), dtype=np.int64)
-    reach = spec.kernel // 2
-    cy = (np.arange(oh) * spec.stride - spec.padding + reach)[:, None, None]
-    cx = (np.arange(ow) * spec.stride - spec.padding + reach)[None, :, None]
+    cy = (np.arange(oh) * spec.stride)[:, None, None]
+    cx = (np.arange(ow) * spec.stride)[None, :, None]
     if off is None:
         shape = (1, oh, ow, len(taps))
         return np.broadcast_to(cy + taps[:, 0], shape), np.broadcast_to(cx + taps[:, 1], shape)
@@ -185,7 +185,7 @@ def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type) -> n
     per-channel products when depthwise, channel contractions otherwise."""
     n, h, wd, ic = data.shape
     oh, ow = spec.out_hw(h, wd)
-    pad, st = spec.padding, spec.stride
+    pad, st = spec.kernel // 2, spec.stride
     xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=dtype)
     xp[:, pad:pad + h, pad:pad + wd, :] = data
     acc = np.zeros((n, oh, ow, ic if spec.depthwise else w.shape[-1]), dtype=dtype)
@@ -454,10 +454,10 @@ def concat(a: QuantTensor, b: QuantTensor) -> QuantTensor:
     return QuantTensor(Shape4(n, h, w, a.shape.c + b.shape.c), data, bits=a.bits, qparams=a.qparams)
 
 
-def shuffle(x: QuantTensor, groups: int = 2) -> QuantTensor:
-    """Channel shuffle: interleave ``groups`` equal channel blocks."""
+def shuffle(x: QuantTensor) -> QuantTensor:
+    """Channel shuffle: interleave the two channel halves."""
     n, h, w, c = x.shape.dims
-    if c % groups:
-        raise ValueError("channel count must divide by groups")
-    d = x.data.reshape(n, h, w, groups, c // groups).swapaxes(3, 4).reshape(n, h, w, c)
+    if c % 2:
+        raise ValueError("shuffle needs an even channel count")
+    d = x.data.reshape(n, h, w, 2, c // 2).swapaxes(3, 4).reshape(n, h, w, c)
     return QuantTensor(Shape4(n, h, w, c), d, bits=x.bits, qparams=x.qparams)

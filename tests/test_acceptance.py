@@ -87,7 +87,7 @@ def test_criterion_01_ablation_speedups_and_ordering():
 def test_criterion_02_single_fetch_property():
     h, w, ic = 16, 16, 16
     rng = np.random.default_rng(2)
-    spec = ConvSpec(3, 1, True, 1)
+    spec = ConvSpec(3, 1, True)
     mem = MemConfig(design=memsim.LINE_BUFFER, line_buffer_rows=15)
     for trial in range(50):
         off = OffsetField(BOUNDED_INT, rng.integers(0, 8, size=(1, h, w, 9, 2)), lo=0, hi=7)
@@ -100,8 +100,8 @@ def test_criterion_02_single_fetch_property():
 
 
 def test_criterion_03_arithmetic_intensity_identities():
-    t1 = roofline(ConvSpec(1, 1, False, 0)).threshold_ops_per_pair
-    t2 = roofline(ConvSpec(3, 1, True, 1)).threshold_ops_per_pair
+    t1 = roofline(ConvSpec(1, 1, False)).threshold_ops_per_pair
+    t2 = roofline(ConvSpec(3, 1, True)).threshold_ops_per_pair
     assert t1 == 32.0
     assert t2 == 18.0
     print(f"PASS criterion 3: roofline thresholds 1x1={t1} dw3x3={t2} OPs/pair (exact)")
@@ -124,7 +124,7 @@ def test_criterion_04_model_cost_windows():
 
 def test_criterion_05_variant_collapse():
     rng = np.random.default_rng(5)
-    spec = ConvSpec(3, 1, True, 1)
+    spec = ConvSpec(3, 1, True)
     for trial in range(1000):
         h = int(rng.integers(1, 17))
         w = int(rng.integers(1, 17))
@@ -157,7 +157,7 @@ def test_criterion_06_oracle_equivalence():
         want = requantize(AccumTensor(Shape4(1, h, w, oc), acc.astype(np.int32)), rp)
         assert np.array_equal(got.data, want.data)
 
-    spec = ConvSpec(3, 1, True, 1)
+    spec = ConvSpec(3, 1, True)
     for trial in range(1000):  # deformable depthwise vs scalar gather loop
         h = int(rng.integers(1, 7))
         w = int(rng.integers(1, 7))
@@ -220,7 +220,7 @@ def test_criterion_07_quantizer_bound_and_properties():
 
 def test_criterion_08_deformable_float_reference():
     rng = np.random.default_rng(8)
-    spec = ConvSpec(3, 1, True, 1)
+    spec = ConvSpec(3, 1, True)
     x = FloatTensor(Shape4(1, 10, 10, 4), rng.standard_normal((1, 10, 10, 4)).astype(np.float32))
     w = FloatTensor(Shape4(1, 3, 3, 4), rng.standard_normal((1, 3, 3, 4)).astype(np.float32))
 

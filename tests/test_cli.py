@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from codenet import golden
-from codenet.container import read_image, save_graph, write_image
+from codenet.container import load_graph, read_image, save_graph, write_image
 from codenet.graph import quantize_graph
 
 from conftest import make_calib_images, make_tiny_graph
@@ -80,6 +80,18 @@ class TestBench:
         assert r.returncode == 1
         assert "line_buffer,dw_square" not in r.stdout
 
+    def test_rows_without_design_exits_1(self):
+        r = run_cli("bench", "--op", "dw_square", "--rows", "3", "--dims", "16,16,16,16")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert r.stdout == ""
+
+    def test_design_defaults_to_15_rows(self):
+        common = ("bench", "--op", "dw_bound", "--design", "line_buffer", "--dims", "16,16,16,16")
+        default = run_cli(*common)
+        assert default.returncode == 0
+        assert default.stdout == run_cli(*common, "--rows", "15").stdout
+
     def test_bad_dims_exit_1(self):
         assert run_cli("bench", "--table2", "--dims", "16,16").returncode == 1
 
@@ -136,6 +148,11 @@ class TestQuantizeInfer:
         r = run_cli("infer", out, str(fixture_dir / "small.img"))
         assert r.returncode == 1
         assert "16x16" in r.stderr or "needs" in r.stderr
+
+    def test_infer_rejects_fp32_container(self, fixture_dir):
+        r = run_cli("infer", str(fixture_dir / "model_fp32.cdnt"), str(fixture_dir / "test.img"))
+        assert r.returncode == 1
+        assert "w4a8" in r.stderr
 
     def test_score_threshold_filters(self, fixture_dir):
         model = str(fixture_dir / "model_fp32.cdnt")
@@ -222,6 +239,23 @@ class TestGolden:
         run_cli("golden", "generate", str(d), "--seed", "5")
         (d / f"golden_{golden.OPS[1]}.cdnt").unlink()
         assert run_cli("golden", "verify", str(d)).returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("infer", "{d}", "{d}/test.img"),
+    ("quantize", "{d}", "{d}/out.cdnt", "--calib", "{d}/calib"),
+    ("quantize", "{d}/model_fp32.cdnt", "{d}/out.cdnt", "--calib", "{d}/test.img"),
+    ("infer", "{d}/model_w4a8.cdnt", "{d}/test.img", "--heads-out", "{d}/calib"),
+    ("golden", "generate", "{d}/test.img"),
+], ids=["infer-model-dir", "quantize-model-dir", "calib-file", "heads-out-dir",
+        "golden-dir-is-file"])
+def test_path_errors_exit_1(fixture_dir, args):
+    g = load_graph(str(fixture_dir / "model_fp32.cdnt"))
+    save_graph(str(fixture_dir / "model_w4a8.cdnt"), quantize_graph(g, make_calib_images(16)))
+    r = run_cli(*(a.format(d=fixture_dir) for a in args))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
 
 
 def test_usage_error_exit_code():

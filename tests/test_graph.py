@@ -358,7 +358,7 @@ class TestFirstLayerHost:
         oc = w.shape[-1]
         rp = RequantParams(np.full(oc, 1 << 30), np.full(oc, 30), np.zeros(oc, dtype=np.int64), 1.0)
         return ops.conv3x3_full_q(QuantTensor(Shape4(*x.shape), x), QuantTensor(Shape4(*w.shape), w, bits=4),
-                                  ops.ConvSpec(3, stride, False, 1), rp)
+                                  ops.ConvSpec(3, stride, False), rp)
 
     def test_stride4_output_dims(self):
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ DIMS = (16, 16, 16, 16)
 
 
 def _dw_spec():
-    return ConvSpec(3, 1, True, 1)
+    return ConvSpec(3, 1, True)
 
 
 def _bounded(rng, h, w, lo=0, hi=7):
@@ -60,7 +60,7 @@ class TestGenTrace:
         assert sorted(trace.in_addr.tolist()) == sorted(expected)
 
     def test_macs(self):
-        full = gen_trace(ConvSpec(3, 1, False, 1), None, (8, 8, 4, 6))
+        full = gen_trace(ConvSpec(3, 1, False), None, (8, 8, 4, 6))
         dw = gen_trace(_dw_spec(), None, (8, 8, 4, 4))
         assert full.macs == 8 * 8 * 9 * 4 * 6
         assert dw.macs == 8 * 8 * 9 * 4
@@ -179,14 +179,14 @@ class TestSimulate:
 
 class TestRoofline:
     def test_thresholds_exact(self):
-        assert roofline(ConvSpec(1, 1, False, 0)).threshold_ops_per_pair == 32.0
+        assert roofline(ConvSpec(1, 1, False)).threshold_ops_per_pair == 32.0
         assert roofline(_dw_spec()).threshold_ops_per_pair == 18.0
 
     def test_classification(self):
-        r = roofline(ConvSpec(1, 1, False, 0), dims=(64, 64, 256, 256))
+        r = roofline(ConvSpec(1, 1, False), dims=(64, 64, 256, 256))
         assert r.intensity_ops_per_pair == pytest.approx(2 * 256)
         assert r.bound == "compute"
-        r = roofline(ConvSpec(1, 1, False, 0), dims=(64, 64, 256, 4))
+        r = roofline(ConvSpec(1, 1, False), dims=(64, 64, 256, 4))
         assert r.bound == "memory"
         r = roofline(_dw_spec(), dims=(64, 64, 256, 256))
         assert r.intensity_ops_per_pair == 18.0

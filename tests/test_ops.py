@@ -42,20 +42,20 @@ class TestConvRef:
     def test_identity_1x1(self):
         x = _ft(RNG.standard_normal((1, 4, 4, 1)).astype(np.float32))
         w = _ft(np.ones((1, 1, 1, 1), dtype=np.float32))
-        out = conv_ref(x, w, ConvSpec(1, 1, False, 0))
+        out = conv_ref(x, w, ConvSpec(1, 1, False))
         assert np.allclose(out.data, x.data)
 
     def test_all_ones_interior_is_nine(self):
         x = _ft(np.ones((1, 5, 5, 1), dtype=np.float32))
         w = _ft(np.ones((1, 3, 3, 1), dtype=np.float32))
-        out = conv_ref(x, w, ConvSpec(3, 1, False, 1))
+        out = conv_ref(x, w, ConvSpec(3, 1, False))
         assert out.data[0, 2, 2, 0] == 9.0
 
     def test_output_dims(self):
         # floor((in + 2*pad - k) / stride) + 1
         x = _ft(np.zeros((1, 11, 9, 2), dtype=np.float32))
         w = _ft(np.zeros((2, 3, 3, 4), dtype=np.float32))
-        out = conv_ref(x, w, ConvSpec(3, 2, False, 1))
+        out = conv_ref(x, w, ConvSpec(3, 2, False))
         assert (out.shape.h, out.shape.w) == (6, 5)
 
     @pytest.mark.parametrize("depthwise,stride", [(True, 1), (True, 2), (False, 1)])
@@ -63,7 +63,7 @@ class TestConvRef:
         x = RNG.standard_normal((1, 6, 5, 3)).astype(np.float32)
         w_shape = (1, 3, 3, 3) if depthwise else (3, 3, 3, 4)
         w = RNG.standard_normal(w_shape).astype(np.float32)
-        out = conv_ref(_ft(x), _ft(w), ConvSpec(3, stride, depthwise, 1))
+        out = conv_ref(_ft(x), _ft(w), ConvSpec(3, stride, depthwise))
         want = conv2d_loop(x, w, stride, 1, depthwise)
         assert np.allclose(out.data, want, atol=1e-5)
 
@@ -71,7 +71,7 @@ class TestConvRef:
         x = _ft(np.zeros((1, 4, 4, 3), dtype=np.float32))
         w = _ft(np.zeros((2, 3, 3, 4), dtype=np.float32))
         with pytest.raises(ValueError):
-            conv_ref(x, w, ConvSpec(3, 1, False, 1))
+            conv_ref(x, w, ConvSpec(3, 1, False))
 
 
 class TestBilinear:
@@ -97,7 +97,7 @@ class TestDeformRef:
     def test_zero_offsets_equal_regular(self):
         x = _ft(RNG.standard_normal((1, 6, 6, 4)).astype(np.float32))
         w = _ft(RNG.standard_normal((1, 3, 3, 4)).astype(np.float32))
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         off = zero_offsets(1, 6, 6, mode=FREE_FRAC)
         got = deform_conv_ref(x, w, off, spec)
         want = conv_ref(x, w, spec)
@@ -108,7 +108,7 @@ class TestDeformRef:
         x = rng.standard_normal((1, 8, 8, 1)).astype(np.float32)
         shifted = np.roll(np.roll(x, -1, axis=1), -1, axis=2)
         w = rng.standard_normal((1, 3, 3, 1)).astype(np.float32)
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         off = OffsetField(FREE_FRAC, np.ones((1, 8, 8, 9, 2)))
         got = deform_conv_ref(_ft(x), _ft(w), off, spec)
         want = conv_ref(_ft(shifted), _ft(w), spec)
@@ -119,7 +119,7 @@ class TestDeformRef:
         x = RNG.standard_normal((1, 4, 4, 1)).astype(np.float32)
         w = RNG.standard_normal((1, 3, 3, 1)).astype(np.float32)
         off = RNG.uniform(-1.5, 1.5, size=(1, 4, 4, 9, 2))
-        got = deform_conv_ref(_ft(x), _ft(w), OffsetField(FREE_FRAC, off), ConvSpec(3, 1, True, 1))
+        got = deform_conv_ref(_ft(x), _ft(w), OffsetField(FREE_FRAC, off), ConvSpec(3, 1, True))
         want = deform_dw_loop(x, w, off)
         assert np.allclose(got.data, want, atol=1e-5)
 
@@ -129,7 +129,7 @@ class TestDeformRef:
         rng = np.random.default_rng(21)
         x = _ft(rng.standard_normal((1, 7, 7, 3)).astype(np.float32))
         w = _ft(rng.standard_normal((1, 3, 3, 3)).astype(np.float32))
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         bounded = OffsetField(BOUNDED_INT, rng.integers(-3, 4, size=(1, 7, 7, 9, 2)), lo=-3, hi=3)
         square = OffsetField(SQUARE, rng.integers(0, 4, size=(1, 7, 7)), lo=0, hi=3)
         # square displacements are absolute tap positions around the center
@@ -175,21 +175,21 @@ class TestClipAndSquare:
 
 class TestTapPositions:
     def test_window_centers_and_grid(self):
-        # center of output (y, x) is (y, x) * stride - padding + 1 for 3x3
-        iy, ix = tap_positions(None, ConvSpec(3, 2, True, 1), 4, 3)
+        # center of output (y, x) is (y, x) * stride: the padding is kernel // 2
+        iy, ix = tap_positions(None, ConvSpec(3, 2, True), 4, 3)
         assert iy.shape == ix.shape == (1, 4, 3, 9)
         y, x = np.meshgrid(np.arange(4), np.arange(3), indexing="ij")
         assert np.array_equal(iy[0], 2 * y[..., None] + ops.TAPS[:, 0])
         assert np.array_equal(ix[0], 2 * x[..., None] + ops.TAPS[:, 1])
 
     def test_pointwise_single_center_tap(self):
-        iy, ix = tap_positions(None, ConvSpec(1, 1, False, 0), 2, 3)
+        iy, ix = tap_positions(None, ConvSpec(1, 1, False), 2, 3)
         assert iy.shape == (1, 2, 3, 1)
         assert iy[0, :, :, 0].tolist() == [[0] * 3, [1] * 3]
         assert ix[0, :, :, 0].tolist() == [[0, 1, 2]] * 2
 
     def test_square_unit_half_width_is_regular_grid(self):
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         square = OffsetField(SQUARE, np.ones((2, 5, 4), dtype=np.int64), lo=0, hi=1)
         for a, b in zip(tap_positions(square, spec, 5, 4), tap_positions(zero_offsets(2, 5, 4), spec, 5, 4)):
             assert a.shape == (2, 5, 4, 9) and np.array_equal(a, b)
@@ -236,7 +236,7 @@ class TestIntegerKernels:
         shift = rng.integers(35, 39, size=6)
         bias = rng.integers(-5, 6, size=6)
         rp = RequantParams(mult, shift, bias, out_delta=1.0, relu=relu)
-        got = ops.conv3x3_full_q(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, False, 1), rp)
+        got = ops.conv3x3_full_q(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, False), rp)
         acc = conv2d_loop(x, w, stride, 1, depthwise=False).astype(np.int64)
         assert np.array_equal(got.data, requant_float64(acc, mult, shift, bias, relu))
 
@@ -245,7 +245,7 @@ class TestIntegerKernels:
         x = _codes((1, 8, 8, 16), 8, rng)
         w = _codes((1, 3, 3, 16), 4, rng)
         rp = _unit_rp(16)
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         off = OffsetField(SQUARE, np.ones((1, 8, 8), dtype=np.int64), lo=0, hi=7)
         got = deform_conv_q(_qt(x, 8), _qt(w, 4), off, spec, rp)
         want = dw3x3_q(_qt(x, 8), _qt(w, 4), spec, rp)
@@ -258,7 +258,7 @@ class TestIntegerKernels:
         vals = rng.integers(-2, 3, size=(1, 6, 6, 9, 2))
         off_i = OffsetField(FREE_INT, vals)
         off_f = OffsetField(FREE_FRAC, vals.astype(np.float64))
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         got = ops.deform_conv_acc(_qt(x, 8), _qt(w, 4), off_i, spec)
         want = deform_conv_ref(_ft(x.astype(np.float32)), _ft(w.astype(np.float32)), off_f, spec)
         assert np.allclose(got.data.astype(np.float64), want.data, atol=1e-4)
@@ -268,7 +268,7 @@ class TestIntegerKernels:
         w = _codes((1, 3, 3, 1), 4)
         off = zero_offsets(1, 4, 4, mode=FREE_FRAC)
         with pytest.raises(ValueError):
-            deform_conv_q(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True, 1), _unit_rp(1))
+            deform_conv_q(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True), _unit_rp(1))
 
     def test_offset_containment_property(self):
         rng = np.random.default_rng(13)
@@ -321,7 +321,7 @@ class TestExactAccumulation:
         x = _extreme_codes((1, 9, 11, 5), 8, rng)
         w = _extreme_codes((1, 3, 3, 5), 4, rng)
         x[0, :4, :4, 0], w[..., 0] = 127, 7  # output (1, 1) sees 9 products of 889
-        got = ops.dw3x3_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, True, 1))
+        got = ops.dw3x3_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, True))
         want = conv2d_loop(x, w, stride, 1, depthwise=True).astype(np.int64)
         assert np.array_equal(got.data, want) and got.data[0, 1, 1, 0] == 9 * 889
 
@@ -334,7 +334,7 @@ class TestExactAccumulation:
         shift = np.full(4, 39)
         bias = rng.integers(-3, 4, size=4)
         rp = RequantParams(mult, shift, bias, out_delta=1.0)
-        got = ops.conv3x3_full_q(_qt(x, 8), _qt(w, 4), ConvSpec(3, 2, False, 1), rp)
+        got = ops.conv3x3_full_q(_qt(x, 8), _qt(w, 4), ConvSpec(3, 2, False), rp)
         acc = conv2d_loop(x, w, 2, 1, depthwise=False).astype(np.int64)
         assert np.array_equal(got.data, requant_float64(acc, mult, shift, bias, False))
 
@@ -344,7 +344,7 @@ class TestExactAccumulation:
         w = _extreme_codes((1, 3, 3, 6), 4, rng)
         vals = rng.integers(-3, 4, size=(1, 7, 8, 9, 2))
         off = OffsetField(BOUNDED_INT, vals, lo=-3, hi=3)
-        got = ops.deform_conv_acc(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True, 1))
+        got = ops.deform_conv_acc(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True))
         disp = ops.TAPS + vals[0]
         want = int_dw_deform_loop(x, w, disp[..., 0], disp[..., 1])
         assert np.array_equal(got.data, want)
@@ -363,13 +363,13 @@ class TestNoInputMutation:
         rp = RequantParams(rng.integers(1 << 30, 1 << 31, size=4), np.full(4, 36),
                            rng.integers(-5, 6, size=4), out_delta=1.0, relu=True)
         dw = _qt(_codes((1, 3, 3, 4), 4, rng), 4)
-        spec = ConvSpec(3, 1, True, 1)
+        spec = ConvSpec(3, 1, True)
         off = OffsetField(BOUNDED_INT, rng.integers(-2, 3, size=(1, 6, 6, 9, 2)), lo=-2, hi=2)
         off_before = off.data.copy()
         self._check(lambda a, b: conv1x1_q(a, b, rp), x, _qt(_codes((4, 1, 1, 4), 4, rng), 4))
         self._check(lambda a, b: dw3x3_q(a, b, spec, rp), x, dw)
         self._check(lambda a, b: deform_conv_q(a, b, off, spec, rp), x, dw)
-        self._check(lambda a, b: ops.conv3x3_full_q(a, b, ConvSpec(3, 2, False, 1), rp),
+        self._check(lambda a, b: ops.conv3x3_full_q(a, b, ConvSpec(3, 2, False), rp),
                     x, _qt(_codes((4, 3, 3, 4), 4, rng), 4))
         assert np.array_equal(off.data, off_before)
         acc = ops.conv1x1_acc(x, _qt(_codes((4, 1, 1, 4), 4, rng), 4))
