@@ -130,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("model")
     q.add_argument("out")
     q.add_argument("--calib", required=True, help="directory of calibration .img files")
-    q.add_argument("--percentile", type=float, default=None)
+    q.add_argument("--percentile", type=float, default=None,
+                   help="clip the input and weight thresholds at this percentile of |x|; "
+                        "activation scales always come from the calibration maxima")
     q.add_argument("--offset-path", choices=OFFSET_PATHS, default="requant")
     q.set_defaults(func=_cmd_quantize)
 

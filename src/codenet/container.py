@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .graph import GraphError, LayerNode, NetworkGraph
 from .quant import PER_CHANNEL, PER_LAYER, QuantParams, RequantParams
 from .tensor import FloatTensor, QuantTensor, Shape4
@@ -208,6 +207,10 @@ def parse_qparams(chunk: Chunk) -> tuple[QuantParams | None, RequantParams | Non
 # Whole-graph serialization
 # ---------------------------------------------------------------------------
 
+# The deformable settings a descriptor states, and how each is parsed.
+_OFFSET_KEYS = {"offset_mode": str, "offset_lo": int, "offset_hi": int, "offset_path": str}
+
+
 def _descriptor_text(g: NetworkGraph) -> str:
     lines = [
         "codenet-graph 1",
@@ -223,8 +226,7 @@ def _descriptor_text(g: NetworkGraph) -> str:
         fields = [f"kind={n.kind}", "inputs=" + ",".join(n.inputs),
                   f"ic={n.ic}", f"oc={n.oc}", f"stride={n.stride}", f"relu={int(n.relu)}"]
         if n.deformable:
-            fields += [f"offset_mode={n.offset_mode}", f"offset_lo={n.offset_lo}",
-                       f"offset_hi={n.offset_hi}", f"offset_path={n.offset_path}"]
+            fields += [f"{k}={getattr(n, k)}" for k in _OFFSET_KEYS]
         lines.append(f"node {n.name} " + " ".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -268,10 +270,8 @@ def _parse_descriptor(text: str) -> NetworkGraph:
                     oc=int(kv["oc"]),
                     stride=int(kv["stride"]),
                     relu=bool(int(kv["relu"])),
-                    offset_mode=kv.get("offset_mode", ops.BOUNDED_INT),
-                    offset_lo=int(kv.get("offset_lo", -8)),
-                    offset_hi=int(kv.get("offset_hi", 7)),
-                    offset_path=kv.get("offset_path", "requant"),
+                    # deformable settings a descriptor omits keep LayerNode's defaults
+                    **{k: parse(kv[k]) for k, parse in _OFFSET_KEYS.items() if k in kv},
                 ))
             else:
                 key, value = ln.split(maxsplit=1)

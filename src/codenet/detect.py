@@ -58,6 +58,8 @@ def find_peaks(heatmap: np.ndarray, top_k: int = 100) -> list[tuple[int, int, in
     hm = np.asarray(heatmap, dtype=np.float64)
     if hm.ndim != 3:
         raise ValueError("heatmap must have shape (h, w, c)")
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {top_k}")
     h, w, c = hm.shape
     padded = np.full((h + 2, w + 2, c), -np.inf)
     padded[1:-1, 1:-1, :] = hm

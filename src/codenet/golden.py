@@ -24,7 +24,8 @@ OPS = ("conv1x1", "dw3x3", "dw3x3_s2", "deform_bounded", "deform_square", "requa
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference implementations (independent of the vectorized kernels)
+# Scalar reference implementations (independent of the vectorized kernels).
+# The conv references return int64 sums; ref_requantize turns sums into codes.
 # ---------------------------------------------------------------------------
 
 def ref_requant_scalar(acc: int, m: int, s: int, bias: int, relu: bool) -> int:
@@ -47,63 +48,34 @@ def ref_requantize(acc: np.ndarray, rp: RequantParams) -> np.ndarray:
     return out
 
 
-def ref_conv1x1(x: np.ndarray, w: np.ndarray, rp: RequantParams) -> np.ndarray:
-    n, h, wd, ic = x.shape
-    oc = w.shape[-1]
-    out = np.zeros((n, h, wd, oc), dtype=np.int8)
-    for b in range(n):
-        for y in range(h):
-            for xx in range(wd):
-                for o in range(oc):
-                    acc = 0
-                    for i in range(ic):
-                        acc += int(x[b, y, xx, i]) * int(w[i, 0, 0, o])
-                    out[b, y, xx, o] = ref_requant_scalar(
-                        acc, int(rp.multiplier[o]), int(rp.shift[o]), int(rp.bias[o]), rp.relu)
+def ref_conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise sums, int64."""
+    out = np.zeros(x.shape[:3] + w.shape[-1:], dtype=np.int64)
+    for b, y, xx, o in np.ndindex(out.shape):
+        out[b, y, xx, o] = sum(int(x[b, y, xx, i]) * int(w[i, 0, 0, o]) for i in range(x.shape[-1]))
     return out
 
 
-def ref_dw3x3(x: np.ndarray, w: np.ndarray, stride: int, rp: RequantParams) -> np.ndarray:
+def ref_dw3x3(x: np.ndarray, w: np.ndarray, stride: int = 1, off: ops.OffsetField | None = None) -> np.ndarray:
+    """Depthwise 3x3 sums, int64. Tap (gy, gx) of output (y, x) reads input
+    (y·stride + dy, x·stride + dx), zero outside the map: (dy, dx) is (gy, gx),
+    plus the tap's pair in a bounded field, or times d in a square field."""
     n, h, wd, c = x.shape
-    oh = (h + 2 - 3) // stride + 1
-    ow = (wd + 2 - 3) // stride + 1
-    out = np.zeros((n, oh, ow, c), dtype=np.int8)
-    for b in range(n):
-        for y in range(oh):
-            for xx in range(ow):
-                for ch in range(c):
-                    acc = 0
-                    for ky in range(3):
-                        for kx in range(3):
-                            iy = y * stride - 1 + ky
-                            ix = xx * stride - 1 + kx
-                            if 0 <= iy < h and 0 <= ix < wd:
-                                acc += int(x[b, iy, ix, ch]) * int(w[0, ky, kx, ch])
-                    out[b, y, xx, ch] = ref_requant_scalar(
-                        acc, int(rp.multiplier[ch]), int(rp.shift[ch]), int(rp.bias[ch]), rp.relu)
-    return out
-
-
-def ref_deform_dw(x: np.ndarray, w: np.ndarray, off: ops.OffsetField, rp: RequantParams) -> np.ndarray:
-    n, h, wd, c = x.shape
-    out = np.zeros((n, h, wd, c), dtype=np.int8)
-    taps = [(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)]
-    for b in range(n):
-        for y in range(h):
-            for xx in range(wd):
-                for ch in range(c):
-                    acc = 0
-                    for t, (gy, gx) in enumerate(taps):
-                        if off.mode == ops.SQUARE:
-                            d = int(off.data[b, y, xx])
-                            iy, ix = y + gy * d, xx + gx * d
-                        else:
-                            iy = y + gy + int(off.data[b, y, xx, t, 0])
-                            ix = xx + gx + int(off.data[b, y, xx, t, 1])
-                        if 0 <= iy < h and 0 <= ix < wd:
-                            acc += int(x[b, iy, ix, ch]) * int(w[0, gy + 1, gx + 1, ch])
-                    out[b, y, xx, ch] = ref_requant_scalar(
-                        acc, int(rp.multiplier[ch]), int(rp.shift[ch]), int(rp.bias[ch]), rp.relu)
+    out = np.zeros((n, (h - 1) // stride + 1, (wd - 1) // stride + 1, c), dtype=np.int64)
+    taps = [(gy, gx) for gy in (-1, 0, 1) for gx in (-1, 0, 1)]
+    for b, y, xx, ch in np.ndindex(out.shape):
+        acc = 0
+        for t, (gy, gx) in enumerate(taps):
+            if off is None:
+                dy, dx = gy, gx
+            elif off.mode == ops.SQUARE:
+                dy, dx = gy * int(off.data[b, y, xx]), gx * int(off.data[b, y, xx])
+            else:
+                dy, dx = gy + int(off.data[b, y, xx, t, 0]), gx + int(off.data[b, y, xx, t, 1])
+            iy, ix = y * stride + dy, xx * stride + dx
+            if 0 <= iy < h and 0 <= ix < wd:
+                acc += int(x[b, iy, ix, ch]) * int(w[0, gy + 1, gx + 1, ch])
+        out[b, y, xx, ch] = acc
     return out
 
 
@@ -139,23 +111,20 @@ def _build_case(op: str, seed: int) -> GoldenCase:
         shape = (1, 4, 4, 8)
         acc = rng.integers(-(1 << 20), (1 << 20) + 1, size=shape).astype(np.int32)
         rp = _random_rp(rng, 8, relu)
-        expected = ref_requantize(acc, rp)
-        tensors = {"acc": acc}
+        sums, tensors = acc, {"acc": acc}
     elif op == "conv1x1":
         h, wd, ic, oc = 5, 3, 12, 9
         x = _random_codes(rng, (1, h, wd, ic), 8)
         w = _random_codes(rng, (ic, 1, 1, oc), 4)
         rp = _random_rp(rng, oc, relu)
-        expected = ref_conv1x1(x, w, rp)
-        tensors = {"x": x, "w": w}
+        sums, tensors = ref_conv1x1(x, w), {"x": x, "w": w}
     elif op in ("dw3x3", "dw3x3_s2"):
         stride = 2 if op.endswith("s2") else 1
         h, wd, c = 7, 6, 10
         x = _random_codes(rng, (1, h, wd, c), 8)
         w = _random_codes(rng, (1, 3, 3, c), 4)
         rp = _random_rp(rng, c, relu)
-        expected = ref_dw3x3(x, w, stride, rp)
-        tensors = {"x": x, "w": w}
+        sums, tensors = ref_dw3x3(x, w, stride), {"x": x, "w": w}
     else:
         h, wd, c = 6, 6, 8
         x = _random_codes(rng, (1, h, wd, c), 8)
@@ -166,9 +135,10 @@ def _build_case(op: str, seed: int) -> GoldenCase:
         else:
             off = ops.OffsetField(ops.BOUNDED_INT, rng.integers(-8, 8, size=(1, h, wd, 9, 2)),
                                   lo=-8, hi=7)
-        expected = ref_deform_dw(x, w, off, rp)
+        sums = ref_dw3x3(x, w, off=off)
         tensors = {"x": x, "w": w, "off": off.data.astype(np.int32),
                    "off_mode": np.array([1 if op == "deform_square" else 0], dtype=np.int32)}
+    expected = ref_requantize(sums, rp)
     if not np.array_equal(expected, _replay(op, tensors, rp)):
         raise AssertionError(f"golden generation: kernel disagrees with reference for {op}")
     return GoldenCase(op, seed, tensors, rp, expected)

@@ -56,15 +56,15 @@ class GraphError(ValueError):
 class OpKind:
     """What differs between operator kinds; everything else is derived.
 
-    ``run_q(node, inputs)`` runs the integer kernel, looked up on ``ops`` at
-    call time; ``run_f(node, inputs, record)`` the float64 reference, which
-    for convs returns sums before bias and relu. Conv kinds give ``kernel``,
-    from which a node derives its ConvSpec, weight shapes and cost;
-    pass-through kinds give ``shape``, mapping input (h, w, c) to output.
+    Conv kinds give ``run_q(node, inputs)``, the integer kernel call looked up
+    on ``ops`` at call time, ``run_f(node, inputs, record)``, the float64 sums
+    before bias and relu, and ``kernel``, which fixes ConvSpec, weights and cost.
+    A pass-through kind is the ``ops`` function of its name, called by both
+    executors on arrays; it gives only ``shape``, input (h, w, c) to output.
     """
 
-    run_q: Callable
-    run_f: Callable
+    run_q: Callable | None = None
+    run_f: Callable | None = None
     kernel: int = 0
     depthwise: bool = False
     deformable: bool = False
@@ -97,25 +97,16 @@ def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarra
     return ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), off, n.spec).data.astype(np.float64)
 
 
-def _maxpool_f(x: np.ndarray) -> np.ndarray:
-    nb, hh, ww, cc = x.shape
-    return x.reshape(nb, hh // 2, 2, ww // 2, 2, cc).max(axis=(2, 4))
+def _even(s: tuple[int, int, int], *dims: int) -> tuple[int, int, int]:
+    if any(s[d] % 2 for d in dims):
+        raise ValueError(f"needs even {'/'.join('hwc'[d] for d in dims)} dims")
+    return s
 
 
-def _split_f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = x.shape[-1] // 2
-    return x[..., :half], x[..., half:]
-
-
-def _shuffle_f(x: np.ndarray) -> np.ndarray:
-    nb, hh, ww, cc = x.shape
-    return x.reshape(nb, hh, ww, 2, cc // 2).swapaxes(3, 4).reshape(nb, hh, ww, cc)
-
-
-def _split_shape(s: tuple[int, int, int]) -> tuple[int, int, int]:
-    if s[2] % 2:
-        raise ValueError("split needs an even channel count")
-    return (s[0], s[1], s[2] // 2)
+def _concat_shape(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    if a[:2] != b[:2]:
+        raise ValueError("concat inputs must share h/w dims")
+    return (a[0], a[1], a[2] + b[2])
 
 
 KINDS: dict[str, OpKind] = {
@@ -131,26 +122,11 @@ KINDS: dict[str, OpKind] = {
     "full3x3_first": OpKind(
         run_q=lambda n, xs: ops.conv3x3_full_q(xs[0], n.w_q, n.spec, n.rp),
         run_f=_float_conv3x3, kernel=3),
-    "maxpool2x2": OpKind(
-        run_q=lambda n, xs: ops.maxpool2x2(xs[0]),
-        run_f=lambda n, xs, record: _maxpool_f(xs[0]),
-        shape=lambda s: (s[0] // 2, s[1] // 2, s[2])),
-    "upsample2x_nearest": OpKind(
-        run_q=lambda n, xs: ops.upsample2x_nearest(xs[0]),
-        run_f=lambda n, xs, record: np.repeat(np.repeat(xs[0], 2, axis=1), 2, axis=2),
-        shape=lambda s: (2 * s[0], 2 * s[1], s[2])),
-    "split_half": OpKind(
-        run_q=lambda n, xs: ops.split_half(xs[0]),
-        run_f=lambda n, xs, record: _split_f(xs[0]),
-        shape=_split_shape),
-    "concat": OpKind(
-        run_q=lambda n, xs: ops.concat(xs[0], xs[1]),
-        run_f=lambda n, xs, record: np.concatenate(xs, axis=-1),
-        shape=lambda a, b: (a[0], a[1], a[2] + b[2]), arity=2),
-    "shuffle": OpKind(
-        run_q=lambda n, xs: ops.shuffle(xs[0]),
-        run_f=lambda n, xs, record: _shuffle_f(xs[0]),
-        shape=lambda s: s),
+    "maxpool2x2": OpKind(shape=lambda s: (_even(s, 0, 1)[0] // 2, s[1] // 2, s[2])),
+    "upsample2x_nearest": OpKind(shape=lambda s: (2 * s[0], 2 * s[1], s[2])),
+    "split_half": OpKind(shape=lambda s: (s[0], s[1], _even(s, 2)[2] // 2)),
+    "concat": OpKind(shape=_concat_shape, arity=2),
+    "shuffle": OpKind(shape=lambda s: _even(s, 2)),
 }
 CONV_KINDS = tuple(k for k, v in KINDS.items() if v.kernel)
 
@@ -311,6 +287,8 @@ def build_codenet(
     """Construct the detection network for one configuration (a..e)."""
     if config not in CONFIGS:
         raise GraphError(f"unknown config {config!r}; expected one of {sorted(CONFIGS)}")
+    if classes < 1:
+        raise GraphError(f"classes must be at least 1, got {classes}")
     resolution, downsample, mult = CONFIGS[config]
     stem_c, *stage_c = STAGE_WIDTHS[mult]
     dec_c = DECODER_WIDTHS[mult]
@@ -469,7 +447,15 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
     if g.precision != "w4a8":
         raise GraphError(f"graph is {g.precision}, not w4a8; quantize it first")
     _check_image(g, image.shape)
-    values = _run_nodes(g, image, lambda n, xs: KINDS[n.kind].run_q(n, xs))
+
+    def run(n: LayerNode, xs: list[QuantTensor]):
+        if n.is_conv:
+            return KINDS[n.kind].run_q(n, xs)
+        out = getattr(ops, n.kind)(*(x.data for x in xs))  # looked up at call time
+        wrap = lambda o: QuantTensor(Shape4(*o.shape), o, qparams=xs[0].qparams)
+        return tuple(map(wrap, out)) if isinstance(out, tuple) else wrap(out)
+
+    values = _run_nodes(g, image, run)
     yq, sq, oq = (values[h] for h in HEADS)
     dy, ds, do = (g.node(h).rp.out_delta for h in HEADS)
     y = sigmoid_lut(dy)[yq.data.astype(np.int32) + 128]
@@ -499,13 +485,12 @@ def run_inference_float(
         return arr
 
     def run(n: LayerNode, xs: list[np.ndarray]):
-        out = KINDS[n.kind].run_f(n, xs, record)
-        if n.is_conv:
-            out = out + n.b_fp
-            if n.relu:
-                out = np.maximum(out, 0.0)
-            record(n.name, out)
-        return out
+        if not n.is_conv:
+            return getattr(ops, n.kind)(*xs)
+        out = KINDS[n.kind].run_f(n, xs, record) + n.b_fp
+        if n.relu:
+            out = np.maximum(out, 0.0)
+        return record(n.name, out)
 
     values = _run_nodes(g, image.data.astype(np.float64), run)
     y, s, o = (values[h] for h in HEADS)

@@ -456,9 +456,10 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
     depthwise half runs ic -> ic channels. The LLC replacement seed is
     seed + 1.
     """
-    half, op = operation.split("_", 1)
+    half, _, op = operation.partition("_")
     if half not in _HALVES or op not in _OPERATIONS:
-        raise ValueError(operation)
+        raise ValueError(f"unknown operation {operation!r}: expected HALF_OP with HALF one of "
+                         f"{', '.join(_HALVES)} and OP one of {', '.join(_OPERATIONS)}")
     h, w, ic, oc = dims
     depthwise = half == "dw"
     spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise)

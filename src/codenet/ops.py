@@ -1,4 +1,4 @@
-"""Convolution operator family: float references and the integer kernels.
+"""Operators: conv float references and integer kernels, and pass-through ops.
 
 Weight layout conventions (NHWC-friendly, output channels contiguous):
   full k x k : shape (ic, k, k, oc)
@@ -392,8 +392,8 @@ def offset_gen(
     w_off: QuantTensor,
     rp: RequantParams,
     mode: str,
-    lo: int = -8,
-    hi: int = 7,
+    lo: int,
+    hi: int,
     path: str = "requant",
 ) -> OffsetField:
     """Generate integer sampling offsets with a 1x1 convolution.
@@ -420,44 +420,36 @@ def offset_gen(
 
 
 # ---------------------------------------------------------------------------
-# Code-domain helpers used by the network executor
+# Pass-through ops on NHWC arrays, codes or reals: one for both executors
 # ---------------------------------------------------------------------------
 
-def maxpool2x2(x: QuantTensor) -> QuantTensor:
-    n, h, w, c = x.shape.dims
+def maxpool2x2(x: np.ndarray) -> np.ndarray:
+    n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError("maxpool2x2 needs even spatial dims")
-    d = x.data.reshape(n, h // 2, 2, w // 2, 2, c)
-    return QuantTensor(Shape4(n, h // 2, w // 2, c), d.max(axis=(2, 4)), bits=x.bits, qparams=x.qparams)
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
 
 
-def upsample2x_nearest(x: QuantTensor) -> QuantTensor:
-    n, h, w, c = x.shape.dims
-    d = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-    return QuantTensor(Shape4(n, 2 * h, 2 * w, c), d, bits=x.bits, qparams=x.qparams)
+def upsample2x_nearest(x: np.ndarray) -> np.ndarray:
+    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
-def split_half(x: QuantTensor) -> tuple[QuantTensor, QuantTensor]:
-    n, h, w, c = x.shape.dims
-    if c % 2:
+def split_half(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half, odd = divmod(x.shape[-1], 2)
+    if odd:
         raise ValueError("split_half needs an even channel count")
-    half = c // 2
-    mk = lambda d: QuantTensor(Shape4(n, h, w, half), d, bits=x.bits, qparams=x.qparams)
-    return mk(x.data[..., :half]), mk(x.data[..., half:])
+    return x[..., :half], x[..., half:]
 
 
-def concat(a: QuantTensor, b: QuantTensor) -> QuantTensor:
-    if a.shape.dims[:3] != b.shape.dims[:3]:
+def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[:3] != b.shape[:3]:
         raise ValueError("concat inputs must share n/h/w dims")
-    n, h, w, _ = a.shape.dims
-    data = np.concatenate([a.data, b.data], axis=-1)
-    return QuantTensor(Shape4(n, h, w, a.shape.c + b.shape.c), data, bits=a.bits, qparams=a.qparams)
+    return np.concatenate([a, b], axis=-1)
 
 
-def shuffle(x: QuantTensor) -> QuantTensor:
+def shuffle(x: np.ndarray) -> np.ndarray:
     """Channel shuffle: interleave the two channel halves."""
-    n, h, w, c = x.shape.dims
+    n, h, w, c = x.shape
     if c % 2:
         raise ValueError("shuffle needs an even channel count")
-    d = x.data.reshape(n, h, w, 2, c // 2).swapaxes(3, 4).reshape(n, h, w, c)
-    return QuantTensor(Shape4(n, h, w, c), d, bits=x.bits, qparams=x.qparams)
+    return x.reshape(n, h, w, 2, c // 2).swapaxes(3, 4).reshape(n, h, w, c)

@@ -92,6 +92,12 @@ class TestBench:
         assert default.returncode == 0
         assert default.stdout == run_cli(*common, "--rows", "15").stdout
 
+    def test_unknown_op_exits_1_naming_the_valid_ones(self):
+        r = run_cli("bench", "--op", "dw_bogus", "--dims", "16,16,16,16")
+        assert r.returncode == 1
+        assert r.stdout.startswith("design,operation,")  # the header comes first, as before
+        assert "full, dw" in r.stderr and "default, deform, bound, square" in r.stderr
+
     def test_bad_dims_exit_1(self):
         assert run_cli("bench", "--table2", "--dims", "16,16").returncode == 1
 
@@ -113,6 +119,13 @@ class TestCost:
     def test_per_layer_listing(self):
         r = run_cli("cost", "--config", "a", "--per-layer")
         assert "head_y" in r.stdout
+
+    @pytest.mark.parametrize("classes", ["0", "-2"])
+    def test_no_classes_exits_1(self, classes):
+        r = run_cli("cost", "--config", "a", "--classes", classes)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: classes")
+        assert r.stdout == ""
 
 
 class TestQuantizeInfer:
@@ -153,6 +166,13 @@ class TestQuantizeInfer:
         r = run_cli("infer", str(fixture_dir / "model_fp32.cdnt"), str(fixture_dir / "test.img"))
         assert r.returncode == 1
         assert "w4a8" in r.stderr
+
+    def test_negative_top_k_exits_1(self, fixture_dir):
+        out = str(fixture_dir / "m3.cdnt")
+        run_cli("quantize", str(fixture_dir / "model_fp32.cdnt"), out, "--calib", str(fixture_dir / "calib"))
+        r = run_cli("infer", out, str(fixture_dir / "test.img"), "--top-k", "-1")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: top_k")
 
     def test_score_threshold_filters(self, fixture_dir):
         model = str(fixture_dir / "model_fp32.cdnt")

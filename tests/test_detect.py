@@ -35,6 +35,13 @@ class TestFindPeaks:
         kept = sorted(p[3] for p in peaks)
         assert min(kept) > (50.0 / 200.0)
 
+    def test_negative_top_k_raises(self):
+        hm = np.zeros((4, 4, 1))
+        hm[1, 1, 0] = 0.5
+        with pytest.raises(ValueError, match="top_k"):
+            find_peaks(hm, top_k=-1)
+        assert find_peaks(hm, top_k=0) == []
+
     def test_matches_exhaustive_oracle_random(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

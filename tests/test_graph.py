@@ -53,6 +53,11 @@ class TestBuild:
         with pytest.raises(GraphError):
             build_codenet("z")
 
+    @pytest.mark.parametrize("classes", [0, -1])
+    def test_rejects_no_classes(self, classes):
+        with pytest.raises(GraphError, match="classes"):
+            build_codenet("a", classes=classes)
+
     def test_linter_rejects_unknown_kind(self):
         g = make_tiny_graph()
         g.nodes[1].kind = "residual_add"
@@ -349,6 +354,72 @@ class TestCalibration:
         assert both == {k: max(sa[k], sb[k]) for k in sa}
 
 
+class TestPassThrough:
+    """A pass-through kind is the ops function of its name, in both executors."""
+
+    KINDS = [k for k, v in G.KINDS.items() if v.shape]
+
+    @pytest.mark.parametrize("kind, ins", [
+        ("maxpool2x2", [(6, 4, 3)]),
+        ("upsample2x_nearest", [(3, 5, 2)]),
+        ("split_half", [(2, 3, 6)]),
+        ("concat", [(2, 3, 4), (2, 3, 6)]),
+        ("shuffle", [(3, 2, 8)]),
+    ])
+    def test_shape_rule_matches_the_op(self, kind, ins):
+        arrays = [np.arange(np.prod(s), dtype=np.int8).reshape(1, *s) for s in ins]
+        out = getattr(ops, kind)(*arrays)
+        for o in out if isinstance(out, tuple) else (out,):
+            assert o.shape[1:] == G.KINDS[kind].shape(*ins)
+
+    @pytest.mark.parametrize("kind, ins", [
+        ("maxpool2x2", [(5, 4, 3)]),
+        ("maxpool2x2", [(4, 3, 3)]),
+        ("split_half", [(2, 2, 5)]),
+        ("concat", [(2, 3, 4), (2, 4, 4)]),
+        ("shuffle", [(2, 2, 7)]),
+    ])
+    def test_odd_inputs_raise_from_both(self, kind, ins):
+        with pytest.raises(ValueError):
+            G.KINDS[kind].shape(*ins)
+        with pytest.raises(ValueError):
+            getattr(ops, kind)(*(np.zeros((1, *s)) for s in ins))
+
+    def test_entries_hold_no_executor_code(self):
+        assert sorted(self.KINDS) == sorted(("maxpool2x2", "upsample2x_nearest", "split_half",
+                                             "concat", "shuffle"))
+        assert all(G.KINDS[k].run_q is None and G.KINDS[k].run_f is None for k in self.KINDS)
+
+    def test_both_executors_call_the_ops_function(self, monkeypatch):
+        g = build_codenet("b")  # b has all five kinds, the maxpool included
+        img = make_calib_images(g.resolution, count=1)[0]
+        gq = quantize_graph(g, [img])
+        calls = []
+        for kind in self.KINDS:
+            real = getattr(ops, kind)
+            monkeypatch.setattr(ops, kind, lambda *xs, _k=kind, _f=real: calls.append(_k) or _f(*xs))
+        want = sorted(n.kind for n in g.nodes if not n.is_conv)
+        assert set(want) == set(self.KINDS)
+        run_inference_float(g, img)
+        assert sorted(calls) == want
+        calls.clear()
+        run_inference(gq, _quant_image(gq, img))
+        assert sorted(calls) == want
+
+
+def test_percentile_clips_the_input_and_weights_only():
+    # activation scales come from the calibration maxima whatever the percentile
+    g = make_tiny_graph(seed=4, deform=True)
+    images = make_calib_images(16, count=2)
+    full, clipped = quantize_graph(g, images), quantize_graph(g, images, percentile=99.0)
+    assert clipped.input_delta < full.input_delta
+    for a, b in zip(full.nodes, clipped.nodes, strict=True):
+        for wa, wb, ra, rb in ((a.w_q, b.w_q, a.rp, b.rp), (a.off_w_q, b.off_w_q, a.off_rp, b.off_rp)):
+            if wa is not None:
+                assert np.all(wb.qparams.t < wa.qparams.t)
+                assert rb.out_delta == ra.out_delta
+
+
 class TestFirstLayerHost:
     """The stem: the one full 3x3 convolution, run on the host in integers."""
 
@@ -370,7 +441,7 @@ class TestFirstLayerHost:
         rng = np.random.default_rng(1)
         img = rng.integers(-127, 128, (1, 32, 32, 3))
         w = rng.integers(-7, 8, (3, 3, 3, 8))
-        assert ops.maxpool2x2(self._stem(img, w, 2)).data.shape == (1, 8, 8, 8)
+        assert ops.maxpool2x2(self._stem(img, w, 2).data).shape == (1, 8, 8, 8)
 
     def test_impulse_matches_loop_oracle(self):
         img = np.zeros((1, 8, 8, 3), dtype=np.int64)

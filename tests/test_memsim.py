@@ -199,6 +199,11 @@ def rows():
 
 
 class TestAblation:
+    @pytest.mark.parametrize("operation", ["dw_bogus", "dw", "half_square", ""])
+    def test_unknown_operation_names_the_valid_ones(self, operation):
+        with pytest.raises(ValueError, match=r"full, dw .* default, deform, bound, square") as caught:
+            ablation_case(operation, DIMS, 1)
+        assert repr(operation) in str(caught.value)
 
     def test_sixteen_rows(self, rows):
         assert len(rows) == 16
