@@ -57,8 +57,9 @@ class OpKind:
     """What differs between operator kinds; everything else is derived.
 
     Conv kinds give ``run_q(node, inputs)``, the integer kernel call looked up
-    on ``ops`` at call time, ``run_f(node, inputs, record)``, the float64 sums
-    before bias and relu, and ``kernel``, which fixes ConvSpec, weights and cost.
+    on ``ops`` at call time, ``run_f(node, inputs, record, bands)``, the float64
+    sums before bias and relu as a new array, in ``bands`` concurrent row
+    slabs, and ``kernel``, which fixes ConvSpec, weights and cost.
     A pass-through kind is the ``ops`` function of its name, called by both
     executors on arrays; it gives only ``shape``, input (h, w, c) to output.
     """
@@ -72,16 +73,21 @@ class OpKind:
     arity: int = 1
 
 
-def _float_conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("nhwi,io->nhwo", x, w[:, 0, 0, :].astype(np.float64))
+def _float_conv1x1(x: np.ndarray, w: np.ndarray, bands: int) -> np.ndarray:
+    """Pointwise float64 sums, written in ``bands`` concurrent row slabs; an
+    einsum over a slab of rows equals those rows of the whole einsum."""
+    w = w[:, 0, 0, :].astype(np.float64)
+    out = np.empty((*x.shape[:3], w.shape[1]), dtype=np.float64)
+    ops._in_bands(x.shape[1], bands, lambda a, b: np.einsum("nhwi,io->nhwo", x[:, a:b], w, out=out[:, a:b]))
+    return out
 
 
 def _float_tensors(x: np.ndarray, w: np.ndarray) -> tuple[FloatTensor, FloatTensor]:
     return FloatTensor(Shape4(*x.shape), x), FloatTensor(Shape4(*w.shape), w)
 
 
-def _float_conv3x3(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarray:
-    return ops.conv_ref(*_float_tensors(xs[0], n.w_fp), n.spec).data.astype(np.float64)
+def _float_conv3x3(n: LayerNode, xs: list[np.ndarray], record: Callable, bands: int) -> np.ndarray:
+    return ops.conv_ref(*_float_tensors(xs[0], n.w_fp), n.spec, bands=bands).data.astype(np.float64)
 
 
 def _deform_q(n: LayerNode, xs: list[QuantTensor]) -> QuantTensor:
@@ -90,11 +96,12 @@ def _deform_q(n: LayerNode, xs: list[QuantTensor]) -> QuantTensor:
     return ops.deform_conv_q(xs[0], n.w_q, off, n.spec, n.rp)
 
 
-def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarray:
+def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable, bands: int) -> np.ndarray:
     """Offsets are rounded and clipped exactly as in deployment."""
-    raw = record(n.name + "/off", _float_conv1x1(xs[0], n.off_w_fp) + n.off_b_fp)
+    raw = record(n.name + "/off", _float_conv1x1(xs[0], n.off_w_fp, bands) + n.off_b_fp)
     off = ops.round_clip_offsets(raw, n.offset_mode, n.offset_lo, n.offset_hi)
-    return ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), off, n.spec).data.astype(np.float64)
+    out = ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), off, n.spec, bands=bands)
+    return out.data.astype(np.float64)
 
 
 def _even(s: tuple[int, int, int], *dims: int) -> tuple[int, int, int]:
@@ -112,7 +119,7 @@ def _concat_shape(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int
 KINDS: dict[str, OpKind] = {
     "conv1x1": OpKind(
         run_q=lambda n, xs: ops.conv1x1_q(xs[0], n.w_q, n.rp),
-        run_f=lambda n, xs, record: _float_conv1x1(xs[0], n.w_fp),
+        run_f=lambda n, xs, record, bands: _float_conv1x1(xs[0], n.w_fp, bands),
         kernel=1),
     "dw3x3": OpKind(
         run_q=lambda n, xs: ops.dw3x3_q(xs[0], n.w_q, n.spec, n.rp),
@@ -212,6 +219,9 @@ class NetworkGraph:
                 raise GraphError(f"node '{n.name}': kind {n.kind!r} is not a supported operator")
             if len(n.inputs) != KINDS[n.kind].arity:
                 raise GraphError(f"node '{n.name}': {n.kind} takes {KINDS[n.kind].arity} input(s)")
+            if n.is_conv and min(n.ic, n.oc) < 1:
+                raise GraphError(f"node '{n.name}': {n.kind} needs ic and oc of at least 1, "
+                                 f"got {n.ic} and {n.oc}")
             if n.deformable and n.offset_mode not in (ops.BOUNDED_INT, ops.SQUARE):
                 raise GraphError(f"node '{n.name}': unsupported offset mode {n.offset_mode!r}")
             if n.deformable and n.offset_lo > n.offset_hi:
@@ -468,6 +478,8 @@ def run_inference_float(
     g: NetworkGraph,
     image: FloatTensor,
     stats: dict[str, float] | None = None,
+    *,
+    bands: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float reference executor; mirrors the integer path op for op.
 
@@ -478,7 +490,15 @@ def run_inference_float(
     the two paths differ only by quantization error. When ``stats`` is given
     it accumulates the max absolute value seen at every conv output (used for
     activation calibration).
+
+    The nodes run one after another on the calling thread; each conv splits
+    its output rows into ``bands`` slabs (default: one per CPU this process
+    may use) that are summed concurrently. Every output element is computed
+    the same way for any band count, so the result does not depend on it.
     """
+    if bands is None:
+        bands = len(os.sched_getaffinity(0))
+
     def record(name: str, arr: np.ndarray) -> np.ndarray:
         if stats is not None:
             stats[name] = max(stats.get(name, 0.0), float(np.abs(arr).max()) if arr.size else 0.0)
@@ -487,9 +507,10 @@ def run_inference_float(
     def run(n: LayerNode, xs: list[np.ndarray]):
         if not n.is_conv:
             return getattr(ops, n.kind)(*xs)
-        out = KINDS[n.kind].run_f(n, xs, record) + n.b_fp
+        out = KINDS[n.kind].run_f(n, xs, record, bands)  # a new array, so add in place
+        out += n.b_fp
         if n.relu:
-            out = np.maximum(out, 0.0)
+            np.maximum(out, 0.0, out=out)
         return record(n.name, out)
 
     values = _run_nodes(g, image.data.astype(np.float64), run)
@@ -553,17 +574,24 @@ def quantize_graph(
     for img in calib_images:
         _check_image(g, img.shape)
 
-    # One float pass per image, as many at once as there are CPUs: each pass
-    # does exactly the arithmetic of a sequential one, and its maxima are
-    # folded in image order, so the statistics do not depend on the count.
+    # One float pass per image, as many at once as there are CPUs, and the
+    # CPUs left over split each pass's conv rows into bands: each pass does
+    # exactly the arithmetic of a sequential one-band pass, and its maxima are
+    # folded in image order, so the statistics do not depend on either count.
+    # A lone worker runs the passes in turn on the calling thread.
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(len(calib_images), cpus)
+
     def calib_pass(img: FloatTensor) -> dict[str, float]:
         own: dict[str, float] = {}
-        run_inference_float(g, img, stats=own)
+        run_inference_float(g, img, stats=own, bands=cpus // workers)
         return own
 
-    workers = min(len(calib_images), len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(workers) as pool:
-        per_image = list(pool.map(calib_pass, calib_images))
+    if workers == 1:
+        per_image = [calib_pass(img) for img in calib_images]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            per_image = list(pool.map(calib_pass, calib_images))
     stats: dict[str, float] = {}
     for own in per_image:
         for name, t in own.items():

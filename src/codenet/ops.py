@@ -17,7 +17,10 @@ samples read as zero in both the float and integer paths.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -180,27 +183,57 @@ def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> 
 # Float reference path
 # ---------------------------------------------------------------------------
 
-def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type) -> np.ndarray:
+# Row bands of the float reference kernels. Every output element is computed
+# by the same numpy operations in the same order whatever the banding, so the
+# band count changes only how many CPUs share a kernel call; einsum and the
+# ufuncs release the GIL, so threads suffice. A band calls only numpy and
+# private helpers, never a public function of this package.
+_BAND_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+
+
+def _in_bands(rows: int, bands: int, fn: Callable[[int, int], None]) -> None:
+    """Call ``fn(a, b)`` once per contiguous slab [a, b) of ``bands`` slabs
+    covering range(rows): slab 0 on the calling thread, the others on the band
+    pool. Slabs are empty when ``bands`` > ``rows``; one band calls inline."""
+    if bands <= 1:
+        fn(0, rows)
+        return
+    edges = [rows * k // bands for k in range(bands + 1)]
+    rest = [_BAND_POOL.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
+    try:
+        fn(edges[0], edges[1])
+    finally:
+        for f in rest:  # every slab is written before the caller reads acc
+            f.result()
+
+
+def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type, bands: int = 1) -> np.ndarray:
     """Zero-padded convolution sums in ``dtype``, accumulated tap by tap:
-    per-channel products when depthwise, channel contractions otherwise."""
+    per-channel products when depthwise, channel contractions otherwise;
+    ``bands`` row slabs of the output are summed concurrently."""
     n, h, wd, ic = data.shape
     oh, ow = spec.out_hw(h, wd)
     pad, st = spec.kernel // 2, spec.stride
     xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=dtype)
     xp[:, pad:pad + h, pad:pad + wd, :] = data
     acc = np.zeros((n, oh, ow, ic if spec.depthwise else w.shape[-1]), dtype=dtype)
-    for ky in range(spec.kernel):
-        for kx in range(spec.kernel):
-            patch = xp[:, ky:ky + oh * st:st, kx:kx + ow * st:st, :]
-            if spec.depthwise:
-                acc += patch * w[0, ky, kx, :].astype(dtype)
-            else:
-                acc += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
+
+    def band(a: int, b: int) -> None:
+        for ky in range(spec.kernel):
+            for kx in range(spec.kernel):
+                patch = xp[:, ky + a * st:ky + b * st:st, kx:kx + ow * st:st, :]
+                if spec.depthwise:
+                    acc[:, a:b] += patch * w[0, ky, kx, :].astype(dtype)
+                else:
+                    acc[:, a:b] += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
+
+    _in_bands(oh, bands, band)
     return acc
 
 
-def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec) -> FloatTensor:
-    """Direct zero-padded convolution, full or depthwise."""
+def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec, bands: int = 1) -> FloatTensor:
+    """Direct zero-padded convolution, full or depthwise, in ``bands``
+    concurrent row slabs (the result does not depend on the count)."""
     ic = x.shape.c
     kh, kw = w.shape.h, w.shape.w
     if kh != spec.kernel or kw != spec.kernel:
@@ -209,7 +242,7 @@ def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec) -> FloatTensor:
         raise ValueError("depthwise weights must have shape (1,k,k,c) with c matching input")
     if not spec.depthwise and w.shape.n != ic:
         raise ValueError(f"weight input channels {w.shape.n} do not match tensor channels {ic}")
-    acc = _tap_sums(x.data, w.data, spec, np.float64)
+    acc = _tap_sums(x.data, w.data, spec, np.float64, bands)
     return FloatTensor(Shape4(*acc.shape), acc)
 
 
@@ -231,14 +264,24 @@ def bilinear_sample(x: FloatTensor, py: float, px: float, c: int, n: int = 0) ->
 
 
 def _bilinear_gather(xp: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear sampling of (n,H,W,C) at per-position coordinates."""
+    """Vectorized bilinear sampling of (n,H,W,C) at per-position coordinates;
+    positions beyond the map read zero.
+
+    Integer positions take one gather: the four-corner sum there is
+    0 + 1 * v plus three zero-weight corners that add +-0, so for finite
+    inputs it equals ``v * valid + 0.0`` bit for bit (the + 0.0 turns -0 into
+    +0 as the first addition did). Fractional positions sum four corners.
+    """
     n, h, w, c = xp.shape
+    nn = np.arange(n).reshape(-1, 1, 1)
+    if py.dtype.kind == px.dtype.kind == "i":
+        valid = (py >= 0) & (py < h) & (px >= 0) & (px < w)
+        return xp[nn, np.clip(py, 0, h - 1), np.clip(px, 0, w - 1), :] * valid[..., None] + 0.0
     y0 = np.floor(py).astype(np.int64)
     x0 = np.floor(px).astype(np.int64)
     fy = py - y0
     fx = px - x0
     out = np.zeros(py.shape + (c,), dtype=np.float64)
-    nn = np.arange(n).reshape(-1, 1, 1)
     for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
         yy = y0 + dy
         xx = x0 + dx
@@ -249,9 +292,12 @@ def _bilinear_gather(xp: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarr
     return out
 
 
-def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec) -> FloatTensor:
+def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec,
+                    bands: int = 1) -> FloatTensor:
     """Float deformable 3x3 convolution, bilinear at fractional positions;
-    integer offset fields of any mode sample whole pixels exactly."""
+    integer offset fields of any mode sample whole pixels exactly, with one
+    gather per tap. ``bands`` row slabs of the output are summed concurrently;
+    the result does not depend on the count."""
     if spec.kernel != 3:
         raise ValueError("deformable convolution is defined for 3x3 kernels")
     n, h, wdt, ic = x.shape.dims
@@ -263,13 +309,17 @@ def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: Conv
     depthwise = spec.depthwise
     oc = x.shape.c if depthwise else w.shape.c
     acc = np.zeros((n, oh, ow, oc), dtype=np.float64)
-    for tap, (gy, gx) in enumerate(TAPS):
-        sampled = _bilinear_gather(data, iy[..., tap], ix[..., tap])
-        ky, kx = gy + 1, gx + 1
-        if depthwise:
-            acc += sampled * w.data[0, ky, kx, :].astype(np.float64)
-        else:
-            acc += np.einsum("nhwi,io->nhwo", sampled, w.data[:, ky, kx, :].astype(np.float64))
+
+    def band(a: int, b: int) -> None:
+        for tap, (gy, gx) in enumerate(TAPS):
+            sampled = _bilinear_gather(data, iy[:, a:b, :, tap], ix[:, a:b, :, tap])
+            ky, kx = gy + 1, gx + 1
+            if depthwise:
+                acc[:, a:b] += sampled * w.data[0, ky, kx, :].astype(np.float64)
+            else:
+                acc[:, a:b] += np.einsum("nhwi,io->nhwo", sampled, w.data[:, ky, kx, :].astype(np.float64))
+
+    _in_bands(oh, bands, band)
     return FloatTensor(Shape4(n, oh, ow, oc), acc)
 
 

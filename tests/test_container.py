@@ -179,6 +179,25 @@ class TestMalformedContainers:
         assert rejected >= 150
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_empty_convolution_exits_1(self, tmp_path, capsys):
+        """A conv node with no output channels saves (save_graph does not
+        lint) but is rejected at load time, before calibration reaches it."""
+        g = make_tiny_graph(seed=17)
+        head = g.node("head_y")
+        head.oc, head.w_fp, head.b_fp = 0, head.w_fp[..., :0], head.b_fp[:0]
+        bad = str(tmp_path / "empty.cdnt")
+        save_graph(bad, g)
+        with pytest.raises(ContainerError, match="head_y"):
+            load_graph(bad)
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        write_image(str(calib / "0.img"), np.zeros((16, 16, 3), dtype=np.uint8))
+        out = tmp_path / "out.cdnt"
+        assert cli.main(["quantize", bad, str(out), "--calib", str(calib)]) == 1
+        err = capsys.readouterr().err
+        assert "head_y" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("offset_mode", "bogus"),
         ("offset_mode", "free_frac"),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestBuild:
         g = make_tiny_graph()
         g.nodes[1].stride = 2
         with pytest.raises(GraphError, match="stride 1"):
+            g.lint()
+
+    @pytest.mark.parametrize("node,field", [("head_y", "oc"), ("pw", "ic"), ("pw", "oc")])
+    def test_linter_rejects_empty_convolutions(self, node, field):
+        g = make_tiny_graph()
+        setattr(g.node(node), field, 0)
+        with pytest.raises(GraphError, match=f"'{node}': .* at least 1"):
             g.lint()
 
     @pytest.mark.parametrize("field,value,match", [
@@ -297,15 +305,81 @@ class TestCalibration:
         g = make_tiny_graph(seed=3, deform=True)
         assert child.stdout.strip() == param_digest(quantize_graph(g, make_calib_images(16, count=3, seed=21)))
 
+    # param_digest of make_tiny_graph(seed=3, deform=True) calibrated on
+    # make_calib_images(16, count=k, seed=21), recorded before the float
+    # kernels summed row bands and before one worker ran on the calling thread
+    RECORDED = {2: "1944decbe4643097c41eee99d8786c9dca3c9e97b88e2ee2e6bd5b94e03d6741",
+                3: "08d040e83d8685bfd92fc830eacbb6f18ca9a8218b9554f89134c24c02b3ad71"}
+
+    def test_several_images_on_one_cpu_give_the_recorded_parameters(self):
+        # on one CPU every pass runs in turn on the calling thread, in one
+        # band; every image must still be calibrated
+        script = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "from conftest import make_calib_images, make_tiny_graph, param_digest\n"
+                  "from codenet.graph import quantize_graph\n"
+                  "g = make_tiny_graph(seed=3, deform=True)\n"
+                  "for k in (2, 3):\n"
+                  "    print(param_digest(quantize_graph(g, make_calib_images(16, count=k, seed=21))))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == [self.RECORDED[2], self.RECORDED[3]]
+        g = make_tiny_graph(seed=3, deform=True)
+        for k in (2, 3):
+            assert param_digest(quantize_graph(g, make_calib_images(16, count=k, seed=21))) == self.RECORDED[k]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_passes_share_the_cpus_between_images_and_bands(self, monkeypatch, count):
+        calls = []
+        real = G.run_inference_float
+
+        def run(g, image, stats=None, **kw):
+            calls.append((threading.get_ident(), kw["bands"]))
+            return real(g, image, stats=stats, **kw)
+
+        monkeypatch.setattr(G, "run_inference_float", run)
+        quantize_graph(make_tiny_graph(seed=3, deform=True), make_calib_images(16, count=count))
+        cpus = len(os.sched_getaffinity(0))
+        workers = min(count, cpus)
+        assert len(calls) == count
+        assert {b for _, b in calls} == {cpus // workers}
+        if workers == 1:  # a lone worker is the calling thread
+            assert {t for t, _ in calls} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_band_workers_enter_no_public_function(self, monkeypatch, count):
+        # the traced benchmark wraps these functions with one span stack for
+        # all threads, so only threads that run passes may enter them
+        entered: dict[str, set[int]] = {}
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                entered.setdefault(name, set()).add(threading.get_ident())
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        passthrough = [k for k, v in G.KINDS.items() if v.shape]
+        spy(G, "run_inference_float")
+        for name in ("conv_ref", "deform_conv_ref", *passthrough):
+            spy(ops, name)
+        g = build_codenet("b")  # has every pass-through kind
+        quantize_graph(g, make_calib_images(g.resolution, count=count))
+        passes = entered.pop("run_inference_float")
+        assert set(entered) == {"conv_ref", "deform_conv_ref", *passthrough}
+        assert all(threads <= passes for threads in entered.values())
+
     def test_failing_pass_reraises_in_caller(self, monkeypatch):
         images = make_calib_images(16, count=3)
         err = RuntimeError("pass failed")
         real = G.run_inference_float
 
-        def run(g, image, stats=None):
+        def run(g, image, stats=None, **kw):
             if image is images[1]:
                 raise err
-            return real(g, image, stats=stats)
+            return real(g, image, stats=stats, **kw)
 
         monkeypatch.setattr(G, "run_inference_float", run)
         with pytest.raises(RuntimeError) as caught:
@@ -324,6 +398,14 @@ class TestCalibration:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * outputs
+
+    def test_float_conv_sums_are_new_arrays(self):
+        # run_inference_float adds bias and relu to them in place
+        g = make_tiny_graph(seed=3, deform=True)
+        x = np.random.default_rng(0).standard_normal((1, 4, 4, 8))
+        for n in g.nodes[1:]:  # every conv after the stem reads 8 channels
+            out = G.KINDS[n.kind].run_f(n, [x], lambda name, a: a, 2)
+            assert not np.shares_memory(out, x)
 
     def test_inputs_unchanged(self):
         g = make_tiny_graph(seed=3, deform=True)

@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from codenet import ops
+from codenet.graph import _float_conv1x1
 from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
                          OffsetField, bilinear_sample, conv1x1_q, conv_ref,
                          deform_conv_q, deform_conv_ref, dw3x3_q, offset_gen,
@@ -137,6 +140,116 @@ class TestDeformRef:
             want = deform_conv_ref(x, w, OffsetField(FREE_FRAC, delta), spec)
             got = deform_conv_ref(x, w, off, spec)
             assert np.array_equal(got.data, want.data)
+
+
+def _bits(a):
+    """A float array as its bit patterns, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64 if a.dtype == np.float64 else np.int32)
+
+
+def _tap_loop(x, w, spec):
+    """The float tap loop over whole maps, without row bands."""
+    n, h, wd, c = x.shape
+    oh, ow = spec.out_hw(h, wd)
+    st = spec.stride
+    xp = np.zeros((n, h + 2, wd + 2, c))
+    xp[:, 1:h + 1, 1:wd + 1] = x
+    acc = np.zeros((n, oh, ow, c if spec.depthwise else w.shape[-1]))
+    for ky in range(3):
+        for kx in range(3):
+            patch = xp[:, ky:ky + oh * st:st, kx:kx + ow * st:st]
+            if spec.depthwise:
+                acc += patch * w[0, ky, kx].astype(np.float64)
+            else:
+                acc += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx].astype(np.float64))
+    return acc
+
+
+class TestRowBands:
+    """The float kernels sum row slabs of their output concurrently; every
+    element is computed the same way for any band count, so the bits match
+    the whole-map computation. 64 bands exceed every row count here, which
+    leaves slabs empty."""
+
+    BANDS = (1, 2, 3, 64)
+
+    def test_slabs_cover_the_rows_once_with_slab_0_on_the_caller(self):
+        seen = []
+        ops._in_bands(7, 3, lambda a, b: seen.append((a, b, threading.get_ident())))
+        assert sorted(s[:2] for s in seen) == [(0, 2), (2, 4), (4, 7)]
+        assert (0, 2, threading.get_ident()) in seen
+
+    def test_a_failing_slab_raises_after_every_slab_ran(self):
+        done = []
+
+        def band(a, b):
+            if a == 0:
+                raise RuntimeError("slab 0")
+            time.sleep(0.05)
+            done.append(a)
+
+        with pytest.raises(RuntimeError, match="slab 0"):
+            ops._in_bands(6, 3, band)
+        assert sorted(done) == [2, 4]
+
+    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("depthwise,stride", [(True, 1), (True, 2), (False, 1), (False, 2)])
+    def test_conv_ref(self, depthwise, stride, bands):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 9, 7, 6)).astype(np.float32)
+        w = rng.standard_normal((1, 3, 3, 6) if depthwise else (6, 3, 3, 5)).astype(np.float32)
+        spec = ConvSpec(3, stride, depthwise)
+        want = _tap_loop(x, w, spec)
+        assert np.array_equal(_bits(ops._tap_sums(x, w, spec, np.float64, bands)), _bits(want))
+        got = conv_ref(_ft(x), _ft(w), spec, bands=bands)  # rounds the sums to float32
+        assert np.array_equal(_bits(got.data), _bits(want.astype(np.float32)))
+
+    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("depthwise", [True, False])
+    @pytest.mark.parametrize("mode", [BOUNDED_INT, SQUARE])
+    def test_deform_conv_ref(self, mode, depthwise, bands):
+        # the reference samples the same whole pixels through fractional
+        # positions, which take the four-corner path in one band
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((2, 9, 7, 4)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        w = _ft(rng.standard_normal((1, 3, 3, 4) if depthwise else (4, 3, 3, 5)).astype(np.float32))
+        spec = ConvSpec(3, 1, depthwise)
+        if mode == SQUARE:
+            off = OffsetField(SQUARE, rng.integers(0, 4, size=(2, 9, 7)), lo=0, hi=3)
+            delta = off.displacements() - ops.TAPS
+        else:
+            off = OffsetField(BOUNDED_INT, rng.integers(-4, 4, size=(2, 9, 7, 9, 2)), lo=-4, hi=3)
+            delta = off.data
+        want = deform_conv_ref(_ft(x), w, OffsetField(FREE_FRAC, delta), spec)
+        got = deform_conv_ref(_ft(x), w, off, spec, bands=bands)
+        assert np.array_equal(_bits(got.data), _bits(want.data))
+
+    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("shape", [(2, 9, 7, 6, 5), (1, 16, 16, 232, 464)])
+    def test_float_conv1x1(self, shape, bands):
+        rng = np.random.default_rng(34)
+        n, h, wd, ic, oc = shape
+        x = rng.standard_normal((n, h, wd, ic))
+        w = rng.standard_normal((ic, 1, 1, oc)).astype(np.float32)
+        want = np.einsum("nhwi,io->nhwo", x, w[:, 0, 0, :].astype(np.float64))
+        assert np.array_equal(_bits(_float_conv1x1(x, w, bands)), _bits(want))
+
+    def test_one_gather_equals_four_corners_on_integer_positions(self):
+        rng = np.random.default_rng(35)
+        xp = rng.standard_normal((2, 5, 6, 4))
+        xp[rng.random(xp.shape) < 0.3] = -0.0
+        py = rng.integers(-3, 8, size=(2, 4, 5))
+        px = rng.integers(-3, 9, size=(2, 4, 5))
+        got = ops._bilinear_gather(xp, py, px)
+        want = ops._bilinear_gather(xp, py.astype(np.float64), px.astype(np.float64))
+        assert np.array_equal(_bits(got), _bits(want))
+        # the draw covers -0.0 read inside the map and taps outside it, both +0
+        inside = (py >= 0) & (py < 5) & (px >= 0) & (px < 6)
+        nn = np.arange(2).reshape(-1, 1, 1)
+        read = xp[nn, np.clip(py, 0, 4), np.clip(px, 0, 5)]
+        assert np.any(np.signbit(read[inside]) & (read[inside] == 0)) and not np.all(inside)
+        assert not np.any(np.signbit(got[got == 0]))
 
 
 class TestClipAndSquare:
