@@ -138,8 +138,11 @@ def ap50(
 
     Detections are matched greedily in confidence order; each ground truth
     can absorb one detection and a match needs IoU >= 0.5. Classes with
-    no ground truth are skipped; an empty ground-truth set is an error.
+    no ground truth are skipped. ``interpolation`` is "all_point" or
+    "eleven_point"; any other name, or an empty ground-truth set, is an error.
     """
+    if interpolation not in ("all_point", "eleven_point"):
+        raise ValueError(f"unknown interpolation {interpolation!r}; expected 'all_point' or 'eleven_point'")
     if not ground_truths:
         raise ValueError("AP is undefined without ground truths")
     classes = sorted({g.class_id for g in ground_truths})

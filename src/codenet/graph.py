@@ -263,11 +263,10 @@ def _he_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _Builder:
-    def __init__(self, seed: int, offset_mode: str, offset_range: tuple[int, int]) -> None:
+    def __init__(self, seed: int, offset_mode: str) -> None:
         self.rng = np.random.default_rng(seed)
         self.nodes: list[LayerNode] = []
         self.offset_mode = offset_mode
-        self.offset_lo, self.offset_hi = offset_range
 
     def add(self, node: LayerNode) -> str:
         self.nodes.append(node)
@@ -281,7 +280,7 @@ class _Builder:
         n.w_fp = _he_init(self.rng, n.weight_shape)
         n.b_fp = np.zeros(oc, dtype=np.float32)
         if n.deformable:
-            n.offset_mode, n.offset_lo, n.offset_hi = self.offset_mode, self.offset_lo, self.offset_hi
+            n.offset_mode = self.offset_mode
             n.off_w_fp = _he_init(self.rng, n.offset_weight_shape)
             n.off_b_fp = np.zeros(n.offset_weight_shape[-1], dtype=np.float32)
         return self.add(n)
@@ -292,7 +291,6 @@ def build_codenet(
     classes: int = 20,
     seed: int = 0,
     offset_mode: str = ops.BOUNDED_INT,
-    offset_range: tuple[int, int] = OFFSET_RANGE,
 ) -> NetworkGraph:
     """Construct the detection network for one configuration (a..e)."""
     if config not in CONFIGS:
@@ -302,7 +300,7 @@ def build_codenet(
     resolution, downsample, mult = CONFIGS[config]
     stem_c, *stage_c = STAGE_WIDTHS[mult]
     dec_c = DECODER_WIDTHS[mult]
-    b = _Builder(seed, offset_mode, offset_range)
+    b = _Builder(seed, offset_mode)
 
     stem_stride = 4 if downsample == "stride4" else 2
     cur = b.conv("stem", "full3x3_first", "input", 3, stem_c, stride=stem_stride, relu=True)

@@ -9,7 +9,11 @@ Every kernel is zero-padded by kernel // 2, so the window of output (y, x) is
 centered on input (y, x) * stride, and a deformable 3x3 kernel with zero
 displacements reduces exactly to the regular convolution. ``tap_positions``
 is the one place that turns an offset field into sampled positions, for both
-deformable kernels and memsim traces.
+deformable kernels and memsim traces. Every 3x3 kernel, float or integer,
+regular or deformable, sums its taps in ``_tap_sums``; a deformable tap reads
+``_sample`` (one ``_gather`` at integer positions, four bilinear corners at
+fractional ones), and ``_check_conv`` is the one check of weight layouts and
+offset fields.
 Integer kernels gather whole pixels (no interpolation), sum code products
 exactly (in float32 under the bound of ``_acc_dtype``, so BLAS can do the
 work) and requantize the 32-bit accumulator to 8-bit codes; out-of-bounds
@@ -207,89 +211,93 @@ def _in_bands(rows: int, bands: int, fn: Callable[[int, int], None]) -> None:
             f.result()
 
 
-def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type, bands: int = 1) -> np.ndarray:
+def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type, bands: int = 1,
+              off: OffsetField | None = None) -> np.ndarray:
     """Zero-padded convolution sums in ``dtype``, accumulated tap by tap:
     per-channel products when depthwise, channel contractions otherwise;
-    ``bands`` row slabs of the output are summed concurrently."""
+    ``bands`` row slabs of the output are summed concurrently. With an offset
+    field each tap reads ``_sample`` at its ``tap_positions`` instead of a
+    slice of the padded map."""
     n, h, wd, ic = data.shape
     oh, ow = spec.out_hw(h, wd)
     pad, st = spec.kernel // 2, spec.stride
-    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=dtype)
-    xp[:, pad:pad + h, pad:pad + wd, :] = data
+    if off is None:
+        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=dtype)
+        xp[:, pad:pad + h, pad:pad + wd, :] = data
+    else:
+        iy, ix = tap_positions(off, spec, oh, ow)
     acc = np.zeros((n, oh, ow, ic if spec.depthwise else w.shape[-1]), dtype=dtype)
 
     def band(a: int, b: int) -> None:
-        for ky in range(spec.kernel):
-            for kx in range(spec.kernel):
+        for tap, (ky, kx) in enumerate(np.ndindex(spec.kernel, spec.kernel)):
+            if off is None:
                 patch = xp[:, ky + a * st:ky + b * st:st, kx:kx + ow * st:st, :]
-                if spec.depthwise:
-                    acc[:, a:b] += patch * w[0, ky, kx, :].astype(dtype)
-                else:
-                    acc[:, a:b] += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
+            else:
+                patch = _sample(data, iy[:, a:b, :, tap], ix[:, a:b, :, tap])
+            if spec.depthwise:
+                acc[:, a:b] += patch * w[0, ky, kx, :].astype(dtype)
+            else:
+                patch = patch.astype(dtype, copy=False)  # a gathered tap keeps the input's dtype
+                acc[:, a:b] += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
 
     _in_bands(oh, bands, band)
     return acc
 
 
+def _gather(data: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Pixels of (n,H,W,C) ``data`` at integer positions of shape (n, ...), in
+    the dtype of ``data``; positions beyond the map read zero."""
+    n, h, w, _ = data.shape
+    nn = np.arange(n).reshape((n,) + (1,) * (py.ndim - 1))
+    valid = (py >= 0) & (py < h) & (px >= 0) & (px < w)
+    return data[nn, np.clip(py, 0, h - 1), np.clip(px, 0, w - 1), :] * valid[..., None]
+
+
+def _sample(data: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Bilinear samples of (n,H,W,C) ``data`` at positions of shape (n, ...).
+
+    Integer positions take one ``_gather``. The four-corner sum there is
+    1 * v plus three zero-weight corners, so it equals v for finite inputs,
+    up to the sign of a zero, which no sum that starts at +0 keeps.
+    Fractional positions sum four weighted corners in float64.
+    """
+    if py.dtype.kind == px.dtype.kind == "i":
+        return _gather(data, py, px)
+    y0, x0 = np.floor(py), np.floor(px)
+    fy, fx = py - y0, px - x0
+    y0, x0 = y0.astype(np.int64), x0.astype(np.int64)
+    return sum(((fy if dy else 1.0 - fy) * (fx if dx else 1.0 - fx))[..., None] * _gather(data, y0 + dy, x0 + dx)
+               for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def _check_conv(x: FloatTensor | QuantTensor, w: FloatTensor | QuantTensor, spec: ConvSpec,
+                off: OffsetField | None = None) -> None:
+    """Weights of shape (1,k,k,c) for a depthwise spec or (ic,k,k,oc) for a
+    full one; an offset field needs a 3x3 kernel and the output's (n, h, w)."""
+    n, h, wd, ic = x.shape.dims
+    k = spec.kernel
+    want = (1, k, k, ic) if spec.depthwise else (ic, k, k, w.shape.c)
+    if w.shape.dims != want:
+        kind = "depthwise" if spec.depthwise else "full"
+        raise ValueError(f"weights of shape {w.shape.dims} do not match the {kind} layout {want}")
+    if off is not None:
+        if k != 3:
+            raise ValueError("deformable convolution is defined for 3x3 kernels")
+        if off.spatial != (n, *spec.out_hw(h, wd)):
+            raise ValueError("offset field spatial shape must match the output")
+
+
 def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec, bands: int = 1) -> FloatTensor:
     """Direct zero-padded convolution, full or depthwise, in ``bands``
     concurrent row slabs (the result does not depend on the count)."""
-    ic = x.shape.c
-    kh, kw = w.shape.h, w.shape.w
-    if kh != spec.kernel or kw != spec.kernel:
-        raise ValueError(f"weight kernel {kh}x{kw} does not match spec {spec.kernel}")
-    if spec.depthwise and (w.shape.n != 1 or w.shape.c != ic):
-        raise ValueError("depthwise weights must have shape (1,k,k,c) with c matching input")
-    if not spec.depthwise and w.shape.n != ic:
-        raise ValueError(f"weight input channels {w.shape.n} do not match tensor channels {ic}")
+    _check_conv(x, w, spec)
     acc = _tap_sums(x.data, w.data, spec, np.float64, bands)
     return FloatTensor(Shape4(*acc.shape), acc)
 
 
 def bilinear_sample(x: FloatTensor, py: float, px: float, c: int, n: int = 0) -> float:
     """Four-neighbor weighted sample; coordinates beyond the grid read zero."""
-    data = x.data
-    h, w = x.shape.h, x.shape.w
-    y0 = int(np.floor(py))
-    x0 = int(np.floor(px))
-    fy = py - y0
-    fx = px - x0
-    total = 0.0
-    for dy, wy in ((0, 1.0 - fy), (1, fy)):
-        for dx, wx in ((0, 1.0 - fx), (1, fx)):
-            yy, xx = y0 + dy, x0 + dx
-            if 0 <= yy < h and 0 <= xx < w and wy * wx != 0.0:
-                total += wy * wx * float(data[n, yy, xx, c])
-    return total
-
-
-def _bilinear_gather(xp: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear sampling of (n,H,W,C) at per-position coordinates;
-    positions beyond the map read zero.
-
-    Integer positions take one gather: the four-corner sum there is
-    0 + 1 * v plus three zero-weight corners that add +-0, so for finite
-    inputs it equals ``v * valid + 0.0`` bit for bit (the + 0.0 turns -0 into
-    +0 as the first addition did). Fractional positions sum four corners.
-    """
-    n, h, w, c = xp.shape
-    nn = np.arange(n).reshape(-1, 1, 1)
-    if py.dtype.kind == px.dtype.kind == "i":
-        valid = (py >= 0) & (py < h) & (px >= 0) & (px < w)
-        return xp[nn, np.clip(py, 0, h - 1), np.clip(px, 0, w - 1), :] * valid[..., None] + 0.0
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
-    fy = py - y0
-    fx = px - x0
-    out = np.zeros(py.shape + (c,), dtype=np.float64)
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        yy = y0 + dy
-        xx = x0 + dx
-        wgt = (fy if dy else 1.0 - fy) * (fx if dx else 1.0 - fx)
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = xp[nn, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), :]
-        out += (wgt * valid)[..., None] * vals
-    return out
+    return float(_sample(x.data[n][None], np.array([py]), np.array([px]))[0, c])
 
 
 def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec,
@@ -298,29 +306,9 @@ def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: Conv
     integer offset fields of any mode sample whole pixels exactly, with one
     gather per tap. ``bands`` row slabs of the output are summed concurrently;
     the result does not depend on the count."""
-    if spec.kernel != 3:
-        raise ValueError("deformable convolution is defined for 3x3 kernels")
-    n, h, wdt, ic = x.shape.dims
-    oh, ow = spec.out_hw(h, wdt)
-    if off.spatial != (n, oh, ow):
-        raise ValueError("offset field spatial shape must match the output")
-    iy, ix = tap_positions(off, spec, oh, ow)
-    data = x.data.astype(np.float64)
-    depthwise = spec.depthwise
-    oc = x.shape.c if depthwise else w.shape.c
-    acc = np.zeros((n, oh, ow, oc), dtype=np.float64)
-
-    def band(a: int, b: int) -> None:
-        for tap, (gy, gx) in enumerate(TAPS):
-            sampled = _bilinear_gather(data, iy[:, a:b, :, tap], ix[:, a:b, :, tap])
-            ky, kx = gy + 1, gx + 1
-            if depthwise:
-                acc[:, a:b] += sampled * w.data[0, ky, kx, :].astype(np.float64)
-            else:
-                acc[:, a:b] += np.einsum("nhwi,io->nhwo", sampled, w.data[:, ky, kx, :].astype(np.float64))
-
-    _in_bands(oh, bands, band)
-    return FloatTensor(Shape4(n, oh, ow, oc), acc)
+    _check_conv(x, w, spec, off)
+    acc = _tap_sums(x.data, w.data, spec, np.float64, bands, off=off)
+    return FloatTensor(Shape4(*acc.shape), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +347,8 @@ def _accum(acc: np.ndarray) -> AccumTensor:
 def conv1x1_acc(x: QuantTensor, w: QuantTensor) -> AccumTensor:
     """32-bit accumulator of a pointwise convolution."""
     _check_quant_inputs(x, w)
+    _check_conv(x, w, ConvSpec(kernel=1))
     n, h, wd, ic = x.shape.dims
-    if w.shape.h != 1 or w.shape.w != 1 or w.shape.n != ic:
-        raise ValueError(f"1x1 weights must have shape (ic,1,1,oc) with ic={ic}")
     oc = w.shape.c
     dt = _acc_dtype(ic)
     acc = x.data.reshape(-1, ic).astype(dt) @ w.data.reshape(ic, oc).astype(dt)
@@ -383,8 +370,7 @@ def dw3x3_acc(x: QuantTensor, w: QuantTensor, spec: ConvSpec) -> AccumTensor:
     _check_quant_inputs(x, w)
     if not spec.depthwise or spec.kernel != 3:
         raise ValueError("dw3x3 expects a depthwise 3x3 spec")
-    if w.shape.dims != (1, 3, 3, x.shape.c):
-        raise ValueError("depthwise weights must have shape (1,3,3,c)")
+    _check_conv(x, w, spec)
     return _accum(_tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS))))
 
 
@@ -397,8 +383,7 @@ def conv3x3_full_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantPa
     _check_quant_inputs(x, w)
     if spec.depthwise or spec.kernel != 3:
         raise ValueError("conv3x3_full expects a full 3x3 spec")
-    if w.shape.dims[:3] != (x.shape.c, 3, 3):
-        raise ValueError("full 3x3 weights must have shape (ic,3,3,oc)")
+    _check_conv(x, w, spec)
     acc = _tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS) * x.shape.c))
     return requantize(_accum(acc), rp)
 
@@ -415,22 +400,8 @@ def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: Conv
         raise ValueError("integer kernel requires integer offsets; round and clip first")
     if not spec.depthwise or spec.kernel != 3:
         raise ValueError("deform_conv_q supports depthwise 3x3 only")
-    n, h, wd, c = x.shape.dims
-    if w.shape.n != 1 or w.shape.h != 3 or w.shape.w != 3 or w.shape.c != c:
-        raise ValueError("depthwise weights must have shape (1,3,3,c)")
-    oh, ow = spec.out_hw(h, wd)
-    if off.spatial != (n, oh, ow):
-        raise ValueError("offset field spatial shape must match the output")
-    iy, ix = tap_positions(off, spec, oh, ow)
-    nn = np.arange(n).reshape(-1, 1, 1)
-    dt = _acc_dtype(len(TAPS))
-    acc = np.zeros((n, oh, ow, c), dtype=dt)
-    for tap, (gy, gx) in enumerate(TAPS):
-        ty, tx = iy[..., tap], ix[..., tap]
-        valid = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < wd)
-        vals = x.data[nn, np.clip(ty, 0, h - 1), np.clip(tx, 0, wd - 1), :]
-        acc += vals * valid[..., None] * w.data[0, gy + 1, gx + 1, :].astype(dt)
-    return _accum(acc)
+    _check_conv(x, w, spec, off)
+    return _accum(_tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS)), off=off))
 
 
 def deform_conv_q(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: ConvSpec, rp: RequantParams) -> QuantTensor:

@@ -8,7 +8,6 @@ right shift and bias, so results are bit-exact across platforms.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -167,23 +166,6 @@ class RequantParams:
         return self.multiplier.size
 
 
-def _normalize_factor(factor: float) -> tuple[int, int]:
-    """Split a positive real factor into (M, s) with M in [2**30, 2**31)."""
-    if factor <= 0 or not math.isfinite(factor):
-        raise ValueError(f"rescale factor {factor} must be positive and finite")
-    mantissa, exp = math.frexp(factor)  # factor = mantissa * 2**exp, mantissa in [0.5, 1)
-    m = round(mantissa * _M_HI)
-    s = 31 - exp
-    if m == _M_HI:  # mantissa rounded up to 1.0
-        m >>= 1
-        s -= 1
-    if s > _MAX_SHIFT:
-        raise ValueError(f"rescale factor {factor} too small for a 63-bit shift")
-    if s < 0:
-        raise ValueError(f"rescale factor {factor} too large to normalize")
-    return m, s
-
-
 def derive_requant(
     in_delta: float,
     w_delta: Sequence[float] | np.ndarray,
@@ -197,9 +179,18 @@ def derive_requant(
     w_delta = np.atleast_1d(np.asarray(w_delta, dtype=np.float64))
     if np.any(w_delta <= 0):
         raise ValueError("deltas must be positive")
-    pairs = [_normalize_factor(in_delta * float(wd) / out_delta) for wd in w_delta]
-    mult = np.array([p[0] for p in pairs], dtype=np.int64)
-    shift = np.array([p[1] for p in pairs], dtype=np.int64)
+    factor = in_delta * w_delta / out_delta
+    bad = (factor <= 0) | ~np.isfinite(factor)
+    if bad.any():
+        raise ValueError(f"rescale factor {factor[bad][0]} must be positive and finite")
+    mantissa, exp = np.frexp(factor)  # factor = mantissa * 2**exp, mantissa in [0.5, 1)
+    mult = np.rint(mantissa * _M_HI).astype(np.int64)
+    shift = 31 - exp.astype(np.int64)
+    up = mult == _M_HI  # mantissa rounded up to 1.0
+    mult, shift = np.where(up, mult >> 1, mult), shift - up
+    for out, why in ((shift > _MAX_SHIFT, "too small for a 63-bit shift"), (shift < 0, "too large to normalize")):
+        if out.any():
+            raise ValueError(f"rescale factor {factor[out][0]} {why}")
     if bias_fp is None:
         bias = np.zeros_like(mult)
     else:

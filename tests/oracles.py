@@ -103,6 +103,20 @@ def requant_float64(acc: np.ndarray, mult: np.ndarray, shift: np.ndarray,
     return np.clip(out, -127, 127).astype(np.int8)
 
 
+def normalize_factor_scalar(factor: float) -> tuple[int, int]:
+    """Split one positive factor into (M, s), M in [2**30, 2**31), with
+    factor ~= M * 2**-s; raises ValueError where no 63-bit shift fits."""
+    if factor <= 0 or not math.isfinite(factor):
+        raise ValueError(f"rescale factor {factor} must be positive and finite")
+    mantissa, exp = math.frexp(factor)
+    m, s = round(mantissa * 2**31), 31 - exp
+    if m == 2**31:
+        m, s = m // 2, s - 1
+    if not 0 <= s <= 63:
+        raise ValueError(f"rescale factor {factor} has shift {s} outside [0, 63]")
+    return m, s
+
+
 def int_dw_deform_loop(x: np.ndarray, w: np.ndarray, disp_y: np.ndarray,
                        disp_x: np.ndarray) -> np.ndarray:
     """Integer depthwise gather-accumulate; loops positions and taps, with the

@@ -176,6 +176,12 @@ class TestAp50:
         want = (6 * 1.0 + 5 * 2.0 / 3.0) / 11.0
         assert ap50(dets, gts, interpolation="eleven_point") == pytest.approx(want)
 
+    @pytest.mark.parametrize("interpolation", ["11point", "All_Point", ""])
+    def test_unknown_interpolation_rejected(self, interpolation):
+        gts = [_gt(0, (0, 0, 10, 10))]
+        with pytest.raises(ValueError, match="unknown interpolation"):
+            ap50([_det(0, 0.9, (0, 0, 10, 10))], gts, interpolation=interpolation)
+
 
 @settings(max_examples=50)
 @given(st.floats(0.1, 10.0), st.floats(0.0, 5.0))

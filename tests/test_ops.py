@@ -241,15 +241,12 @@ class TestRowBands:
         xp[rng.random(xp.shape) < 0.3] = -0.0
         py = rng.integers(-3, 8, size=(2, 4, 5))
         px = rng.integers(-3, 9, size=(2, 4, 5))
-        got = ops._bilinear_gather(xp, py, px)
-        want = ops._bilinear_gather(xp, py.astype(np.float64), px.astype(np.float64))
-        assert np.array_equal(_bits(got), _bits(want))
-        # the draw covers -0.0 read inside the map and taps outside it, both +0
+        got = ops._sample(xp, py, px)
+        want = ops._sample(xp, py.astype(np.float64), px.astype(np.float64))
+        assert np.array_equal(got, want)
+        # the draw covers taps inside the map and outside it
         inside = (py >= 0) & (py < 5) & (px >= 0) & (px < 6)
-        nn = np.arange(2).reshape(-1, 1, 1)
-        read = xp[nn, np.clip(py, 0, 4), np.clip(px, 0, 5)]
-        assert np.any(np.signbit(read[inside]) & (read[inside] == 0)) and not np.all(inside)
-        assert not np.any(np.signbit(got[got == 0]))
+        assert np.any(inside) and not np.all(inside)
 
 
 class TestClipAndSquare:
@@ -393,6 +390,54 @@ class TestIntegerKernels:
         tap_rows = np.array([ky for ky in (-1, 0, 1) for _ in range(3)])
         dist = disp + tap_rows[None, None, None, :]
         assert dist.max() <= hi + 1
+
+
+def _conv_call(kind, depthwise, w_shape, off_nhw=(1, 6, 6)):
+    """A call of conv entry point ``kind`` on a 6x6x4 zero input, weights of
+    ``w_shape`` and, for the deformable kinds, a zero field of ``off_nhw``."""
+    spec = ConvSpec(3, 1, depthwise)
+    xf, wf = _ft(np.zeros((1, 6, 6, 4), np.float32)), _ft(np.zeros(w_shape, np.float32))
+    xq, wq = _qt(np.zeros((1, 6, 6, 4), np.int8), 8), _qt(np.zeros(w_shape, np.int8), 4)
+    off, rp = zero_offsets(*off_nhw), _unit_rp(w_shape[-1])
+    return {
+        "conv_ref": lambda: conv_ref(xf, wf, spec),
+        "deform_conv_ref": lambda: deform_conv_ref(xf, wf, off, spec),
+        "conv1x1_q": lambda: conv1x1_q(xq, wq, rp),
+        "dw3x3_q": lambda: dw3x3_q(xq, wq, spec, rp),
+        "conv3x3_full_q": lambda: ops.conv3x3_full_q(xq, wq, spec, rp),
+        "deform_conv_q": lambda: deform_conv_q(xq, wq, off, spec, rp),
+    }[kind]
+
+
+class TestConvChecks:
+    """Every conv entry point rejects weights of the wrong layout and the
+    deformable ones an offset field that misses the output, each with the
+    same message; the right layout runs."""
+
+    RIGHT = {"conv_ref": (True, (1, 3, 3, 4)), "deform_conv_ref": (False, (4, 3, 3, 6)),
+             "conv1x1_q": (False, (4, 1, 1, 6)), "dw3x3_q": (True, (1, 3, 3, 4)),
+             "conv3x3_full_q": (False, (4, 3, 3, 6)), "deform_conv_q": (True, (1, 3, 3, 4))}
+
+    @pytest.mark.parametrize("kind,depthwise,w_shape", [
+        ("conv_ref", True, (2, 3, 3, 4)), ("conv_ref", True, (1, 3, 3, 5)),
+        ("conv_ref", False, (5, 3, 3, 6)), ("conv_ref", False, (4, 1, 1, 6)),
+        ("deform_conv_ref", True, (2, 3, 3, 4)), ("deform_conv_ref", True, (1, 5, 5, 4)),
+        ("deform_conv_ref", False, (5, 3, 3, 6)),
+        ("conv1x1_q", False, (5, 1, 1, 6)), ("conv1x1_q", False, (4, 3, 3, 6)),
+        ("dw3x3_q", True, (2, 3, 3, 4)), ("dw3x3_q", True, (1, 3, 3, 5)),
+        ("conv3x3_full_q", False, (5, 3, 3, 6)), ("conv3x3_full_q", False, (4, 1, 1, 6)),
+        ("deform_conv_q", True, (2, 3, 3, 4)), ("deform_conv_q", True, (1, 5, 5, 4)),
+    ])
+    def test_wrong_weight_layout(self, kind, depthwise, w_shape):
+        _conv_call(kind, *self.RIGHT[kind])()
+        with pytest.raises(ValueError, match="weights of shape .* do not match"):
+            _conv_call(kind, depthwise, w_shape)()
+
+    @pytest.mark.parametrize("off_nhw", [(2, 6, 6), (1, 5, 6), (1, 6, 3)])
+    @pytest.mark.parametrize("kind", ["deform_conv_ref", "deform_conv_q"])
+    def test_offset_field_must_cover_the_output(self, kind, off_nhw):
+        with pytest.raises(ValueError, match="offset field spatial shape"):
+            _conv_call(kind, *self.RIGHT[kind], off_nhw=off_nhw)()
 
 
 def _extreme_codes(shape, bits, rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from codenet.quant import (PER_CHANNEL, PER_LAYER, QuantParams, RequantParams,
                            calibrate, dequantize, derive_requant, quantize, requantize)
 from codenet.tensor import AccumTensor, FloatTensor, Shape4
 
-from oracles import quantize_scalar, requant_float64
+from oracles import normalize_factor_scalar, quantize_scalar, requant_float64
 
 
 def _ft(values, shape=None):
@@ -136,6 +138,29 @@ class TestDeriveRequant:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             derive_requant(0.0, [1.0], 1.0)
+
+    def test_matches_scalar_oracle(self):
+        # log-uniform factors inside the normalizable range, plus the edges:
+        # 1 - 2**-33 rounds its mantissa up to 1.0, 2**-33 takes the largest
+        # shift and 2**31 - 1 the smallest
+        rng = np.random.default_rng(13)
+        factors = np.concatenate([np.exp2(rng.uniform(-32.9, 30.9, 5000)),
+                                  [1 - 2.0**-33, 2.0**-33, 2.0**31 - 1, 0.5, 1.0]])
+        rp = derive_requant(1.0, factors, 1.0)
+        want = [normalize_factor_scalar(float(f)) for f in factors]
+        assert rp.multiplier.tolist() == [m for m, _ in want]
+        assert rp.shift.tolist() == [s for _, s in want]
+        assert normalize_factor_scalar(1 - 2.0**-33) == (2**30, 30)  # 1.0 exactly
+
+    @pytest.mark.parametrize("in_delta,w_delta,message", [
+        (1.0, [0.5, 2.0**-40], f"rescale factor {2.0**-40} too small for a 63-bit shift"),
+        (1.0, [2.0**31], "too large to normalize"),
+        (1.0, [0.5, np.inf], "must be positive and finite"),
+        (1e-200, [1e-200], "must be positive and finite"),
+    ])
+    def test_unnormalizable_factor_rejected(self, in_delta, w_delta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_requant(in_delta, w_delta, 1.0)
 
 
 class TestRequantize:
