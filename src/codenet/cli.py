@@ -70,9 +70,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: --rows needs --design", file=sys.stderr)
         return 1
     eng = memsim.EngineConfig()
-    print(memsim.CSV_HEADER)
+    # the header is printed only once every row is priced, so an error
+    # leaves stdout empty
     if args.table2:
         rows = memsim.ablation_table(dims, args.seed, eng)
+        print(memsim.CSV_HEADER)
         for row in rows:
             print(memsim.row_to_csv(row))
         speed = memsim.table_speedups(rows)
@@ -89,6 +91,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         mem = mems[args.llc]
     report = memsim.simulate(trace, mem, eng)
+    print(memsim.CSV_HEADER)
     print(memsim.row_to_csv(memsim.AblationRow(args.op, mem.design, bool(args.llc), report)))
     return 0
 

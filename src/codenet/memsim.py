@@ -24,10 +24,25 @@ identical seeds give identical hit/miss sequences. Where the LFSR's choice
 cannot change a count, the cache is counted in closed form with the same
 result as the replay (see _cache_cost): when no line is touched twice, and
 when every touched line fits the cache without an eviction.
+
+A replay is one sequential loop, because all sets share one LFSR, but the
+replays of one ablation grid do not depend on each other. So when the map
+overflows the LLC (h * w * ic > 1 MiB) and more than one CPU is available,
+ablation_table forks one worker per LLC row that replays (the deform rows),
+at most one per CPU, before it prices any row. A worker rebuilds its case,
+replays the stream and sends back its three counts; _cache_cost takes them
+from the worker whose stream matches its own (LFSR seed, request bytes and a
+digest of the addresses), and replays inline otherwise. The workers use the
+fork start method, so a caller script needs no main guard, and every worker
+is stopped and joined before ablation_table returns or raises. Every count
+is the same on any number of CPUs.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,7 +244,7 @@ def _cache_cost(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, in
     elif lasts.max() - firsts.min() < LLC_SETS * LLC_WAYS:
         hits, misses, missed_requests = _first_touches(firsts, lengths)
     else:
-        hits, misses, missed_requests = _lfsr_counts(firsts, lasts, seed)
+        hits, misses, missed_requests = _replayed(addrs, nbytes, seed) or _lfsr_counts(firsts, lasts, seed)
     fill = LLC_HIT_CYCLES + math.ceil(LLC_LINE / DRAM_BYTES_PER_CYCLE)
     cycles = (int(addrs.size) * ACP_REQUEST_CYCLES + hits * LLC_HIT_CYCLES + misses * fill
               + missed_requests * DRAM_LATENCY)
@@ -281,6 +296,79 @@ def _lfsr_counts(firsts: np.ndarray, lasts: np.ndarray, seed: int) -> tuple[int,
                     ways[state % LLC_WAYS] = ln
             missed_requests += missed
     return hits, misses, missed_requests
+
+
+def _stream_key(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, bytes]:
+    """What identifies a replayed stream: its seed, request bytes and addresses."""
+    return seed, nbytes, hashlib.sha256(np.ascontiguousarray(addrs, dtype=np.int64)).digest()
+
+
+class _Replay:
+    """A forked worker that replays the LLC stream of one ablation operation.
+
+    It sends two messages: the _stream_key of its stream once the case is
+    built, then the replayed (hits, misses, missed requests).
+    """
+
+    def __init__(self, operation: str, dims: tuple[int, int, int, int], seed: int) -> None:
+        import multiprocessing  # loaded only by a grid that forks
+        ctx = multiprocessing.get_context("fork")
+        self.operation = operation
+        self.key: tuple | None = None
+        self.conn, child = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=_replay_worker, args=(operation, dims, seed, child), daemon=True)
+        self.proc.start()
+        child.close()
+
+    def recv(self):
+        try:
+            ok, value = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"the LLC replay worker of {self.operation} exited with code "
+                               f"{self.proc.exitcode} and sent no result") from None
+        if not ok:
+            raise RuntimeError(f"the LLC replay worker of {self.operation} failed:\n{value}")
+        return value
+
+    def stop(self) -> None:
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+
+def _replay_worker(operation: str, dims: tuple[int, int, int, int], seed: int, conn) -> None:
+    try:
+        trace, mems = ablation_case(operation, dims, seed)
+        addrs, nbytes, llc_seed = trace.in_addr, trace.in_bytes, mems[1].llc_seed
+        conn.send((True, _stream_key(addrs, nbytes, llc_seed)))
+        conn.send((True, _lfsr_counts(addrs // LLC_LINE, (addrs + nbytes - 1) // LLC_LINE, llc_seed)))
+    except Exception:
+        conn.send((False, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+# The workers of the running ablation_table. They are found here rather than
+# passed down because simulate and _cache_cost keep their signatures: callers
+# wrap both by name.
+_REPLAYS: list[_Replay] = []
+
+
+def _replayed(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, int] | None:
+    """The counts of this stream from the worker that replayed it, or None
+    when no worker did."""
+    if not _REPLAYS:
+        return None
+    key = _stream_key(addrs, nbytes, seed)
+    for worker in _REPLAYS:
+        if worker.key is None:
+            worker.key = worker.recv()
+        if worker.key == key:
+            _REPLAYS.remove(worker)
+            return worker.recv()
+    return None
 
 
 def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> SimReport:
@@ -468,16 +556,44 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
     return trace, (_ablation_mem(op, False, llc_seed=seed + 1), _ablation_mem(op, True, llc_seed=seed + 1))
 
 
+def _replay_operations(dims: tuple[int, int, int, int]) -> list[str]:
+    """The operations whose LLC rows ablation_table replays in workers: none
+    when the map fits the LLC (every stream then has a closed form) or only
+    one CPU is available, else those served by the ``llc`` design, at most
+    one per CPU."""
+    h, w, ic, _ = dims
+    if h * w * ic <= LLC_SETS * LLC_WAYS * LLC_LINE:
+        return []
+    cpus = len(os.sched_getaffinity(0))
+    operations = [f"{half}_{op}" for half in _HALVES for op in _OPERATIONS
+                  if _ablation_mem(op, True, 0).design == LLC]
+    return operations[:cpus] if cpus > 1 else []
+
+
 def ablation_table(dims: tuple[int, int, int, int], seed: int,
                    eng: EngineConfig | None = None) -> list[AblationRow]:
-    """Full ablation grid: 4 operations x {full, depthwise} x {no-LLC, LLC}."""
+    """Full ablation grid: 4 operations x {full, depthwise} x {no-LLC, LLC}.
+
+    Replays of the LLC rows run in forked workers (see the module docstring);
+    the rows are priced here, in order, with the same counts on any number
+    of CPUs.
+    """
     eng = eng or EngineConfig()
     rows: list[AblationRow] = []
-    for half in _HALVES:
-        for op in _OPERATIONS:
-            trace, mems = ablation_case(f"{half}_{op}", dims, seed)
-            for llc, mem in enumerate(mems):
-                rows.append(AblationRow(f"{half}_{op}", mem.design, bool(llc), simulate(trace, mem, eng)))
+    workers: list[_Replay] = []
+    try:
+        for operation in _replay_operations(dims):
+            workers.append(_Replay(operation, dims, seed))
+        _REPLAYS[:] = workers
+        for half in _HALVES:
+            for op in _OPERATIONS:
+                trace, mems = ablation_case(f"{half}_{op}", dims, seed)
+                for llc, mem in enumerate(mems):
+                    rows.append(AblationRow(f"{half}_{op}", mem.design, bool(llc), simulate(trace, mem, eng)))
+    finally:
+        _REPLAYS.clear()
+        for worker in workers:
+            worker.stop()
     return rows
 
 

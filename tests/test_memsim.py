@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -266,18 +269,20 @@ def _stream(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, int, str]:
     raise ValueError(kind)
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """The counting functions _cache_cost calls in this process, in order."""
+    taken = []
+    for name in ("_first_touches", "_lfsr_counts"):
+        def spy(*args, _real=getattr(memsim, name), _name=name):
+            taken.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(memsim, name, spy)
+    return taken
+
+
 class TestCacheCostOracle:
     """memsim._cache_cost against the scalar LFSR loop of the oracles."""
-
-    @pytest.fixture
-    def paths(self, monkeypatch):
-        taken = []
-        for name in ("_first_touches", "_lfsr_counts"):
-            def spy(*args, _real=getattr(memsim, name), _name=name):
-                taken.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(memsim, name, spy)
-        return taken
 
     @pytest.mark.parametrize("kind", ["random_fits", "random_overflows", "span_16384", "span_16385",
                                       "sorted_disjoint", "shared_line"])
@@ -335,3 +340,65 @@ class TestCacheCostOracle:
         trace, _ = ablation_case(op, (64, 64, 256, 256), seed=4)
         assert (memsim._cache_cost(trace.in_addr, trace.in_bytes, 5)
                 == cache_cost_loop(trace.in_addr, trace.in_bytes, 5))
+
+
+MAP4X = (128, 128, 256, 256)  # 4 MiB of input: the deform rows overflow the LLC
+
+
+class TestReplayWorkers:
+    """ablation_table replays the LLC rows of an overflowing map in forked
+    workers; every row must equal the one-CPU run, and no worker may outlive
+    the call."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def allow(n: int) -> None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return allow
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_workers_give_the_one_cpu_grid(self, paths, cpus, seed):
+        cpus(2)
+        forked = ablation_table(MAP4X, seed)
+        assert multiprocessing.active_children() == []
+        assert "_lfsr_counts" not in paths  # both replays ran in the workers
+        cpus(1)
+        inline = ablation_table(MAP4X, seed)
+        assert paths.count("_lfsr_counts") == 2
+        assert [row_to_csv(r) for r in forked] == [row_to_csv(r) for r in inline]
+        for op in ("full_deform", "dw_deform"):
+            trace, mems = ablation_case(op, MAP4X, seed)
+            report = next(r.report for r in forked if r.operation == op and r.llc)
+            assert ((report.input_cycles, report.llc_hits, report.llc_misses)
+                    == cache_cost_loop(trace.in_addr, trace.in_bytes, mems[1].llc_seed))
+
+    def test_paper_grid_starts_no_process(self, cpus, monkeypatch):
+        def start(process):
+            raise AssertionError("a process was started")
+        cpus(2)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        ablation_table((64, 64, 256, 256), 1)
+
+    def test_bad_seed_raises_with_no_child_left(self, cpus):
+        cpus(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            ablation_table(MAP4X, seed=-1)
+        assert multiprocessing.active_children() == []
+
+    def test_failing_worker_raises_in_the_caller(self, cpus, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("replay lost")
+        cpus(2)
+        monkeypatch.setattr(memsim, "_lfsr_counts", broken)
+        with pytest.raises(RuntimeError, match="worker of full_deform failed") as caught:
+            ablation_table(MAP4X, 1)
+        assert "in broken\n" in str(caught.value)  # the worker's traceback
+        assert str(caught.value).endswith("ZeroDivisionError: replay lost\n")
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_in_the_caller(self, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setattr(memsim, "_lfsr_counts", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="worker of full_deform exited with code 3"):
+            ablation_table(MAP4X, 1)
+        assert multiprocessing.active_children() == []

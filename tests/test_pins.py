@@ -51,7 +51,8 @@ BENCH_OP_SHA = {
 
 # (op, design, llc) -> (exit code, stdout SHA-256) of `codenet bench --op OP
 # --design DESIGN --rows 15 --llc LLC --dims 16,16,16,16`; the multiport design
-# rejects non-square deformable offsets with exit 1.
+# rejects non-square deformable offsets with exit 1 and an empty stdout.
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
 BENCH_DESIGN_SHA = {
     ("full_default", "baseline_dram", 0): (0, "857ed34918e34b84608074aa774bfdc02198663c5d7f8574821c6f75f6177cce"),
     ("full_default", "baseline_dram", 1): (0, "edd0949f662fff20af631d28242e5a37919aca6ec3b1e528510b0276b1f63568"),
@@ -67,16 +68,16 @@ BENCH_DESIGN_SHA = {
     ("full_deform", "llc", 1): (0, "bbdfe7c68a1df2e529b02fa7c231beb545e3e847fb6d8b850b95b116a6282ef6"),
     ("full_deform", "line_buffer", 0): (0, "3d15b2f8859958c1de286463ffeaf089dbade62f7b253aff9b3b7169cbc7f845"),
     ("full_deform", "line_buffer", 1): (0, "085485ec1f47e4924982cd647f4db928e0ac25f8a87932a9107fc64bcae05c41"),
-    ("full_deform", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
-    ("full_deform", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("full_deform", "line_buffer_multiport", 0): (1, EMPTY_SHA),
+    ("full_deform", "line_buffer_multiport", 1): (1, EMPTY_SHA),
     ("full_bound", "baseline_dram", 0): (0, "206b841a895898ddbf0fe72f46ccdb05661dba446e523389bfcc946fcaf4f575"),
     ("full_bound", "baseline_dram", 1): (0, "5de6c63f924d85929483dcdd85fa62ff0c7000caf137cffb7c04f6c7bbb47b80"),
     ("full_bound", "llc", 0): (0, "27849b61e5f837b5b7c16f0f8068379fc423df7bcda6d336c5fcea37406669e6"),
     ("full_bound", "llc", 1): (0, "3cc4c09cec45f8dfff9228af8c4eb7601dbbacec5a81eef44f8ebfb72ce698a0"),
     ("full_bound", "line_buffer", 0): (0, "cdabe56fd4cab566912d1920ee3ce5394469fbeae3ce5e5491c999505efc2ced"),
     ("full_bound", "line_buffer", 1): (0, "024569b926478d22cb716930eb71778700408abdca798f2be2ea5c337660d27d"),
-    ("full_bound", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
-    ("full_bound", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("full_bound", "line_buffer_multiport", 0): (1, EMPTY_SHA),
+    ("full_bound", "line_buffer_multiport", 1): (1, EMPTY_SHA),
     ("full_square", "baseline_dram", 0): (0, "0d9267b8e83882b8f8396160aed45b5d624c88ab5e1c88734a67d2765bc1dac7"),
     ("full_square", "baseline_dram", 1): (0, "f865f6ac4515896511fc56ade7ca9d6c705067a16205d7dda7dc116ad5e7e725"),
     ("full_square", "llc", 0): (0, "549137cebadd95c08a1fa0928069b9b189bd55d380a88957100fd7b2be8569a8"),
@@ -99,16 +100,16 @@ BENCH_DESIGN_SHA = {
     ("dw_deform", "llc", 1): (0, "d7327fbb55fd1a78d8e9c0870dd1b538d810ab5cd232f8f1cb714c9279a0ab1c"),
     ("dw_deform", "line_buffer", 0): (0, "a73ec48029237a2c1b436642d85d9c797830503f12d0a7981126d6dca26b0879"),
     ("dw_deform", "line_buffer", 1): (0, "dbc62856b6139af7c16820575d966b479e8cb73fcef861ce5f609dc3bf65998d"),
-    ("dw_deform", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
-    ("dw_deform", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("dw_deform", "line_buffer_multiport", 0): (1, EMPTY_SHA),
+    ("dw_deform", "line_buffer_multiport", 1): (1, EMPTY_SHA),
     ("dw_bound", "baseline_dram", 0): (0, "a63843a2136d12537ccc8dab5a00c8fb4de4b7d0470ddce4afda03d2df36ec33"),
     ("dw_bound", "baseline_dram", 1): (0, "3755d52bfce3c670987a69fd2ce891f1e98fd7c23b8495c87cf2c79475081d16"),
     ("dw_bound", "llc", 0): (0, "4dcd48bc99a56429cb16c49402b95afc4a43545273b261590101c22f72268e03"),
     ("dw_bound", "llc", 1): (0, "1646b7bde44d9c205f01b7f2f6ee7c652af4d21cce07def44d26ba89cdcd26f1"),
     ("dw_bound", "line_buffer", 0): (0, "e6f180139df69391ffb1805ef8b1b9f82f9a1221a6d127414593a111d46abed2"),
     ("dw_bound", "line_buffer", 1): (0, "ad365b2bf66cb7f4e17ecdb0bfd83b0a3e3f45a2946ba875115d5dd75521bb6a"),
-    ("dw_bound", "line_buffer_multiport", 0): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
-    ("dw_bound", "line_buffer_multiport", 1): (1, "cf50fdc47331caa6cd89dfb5564bb274b84d1a773361840cbb90213657c91165"),
+    ("dw_bound", "line_buffer_multiport", 0): (1, EMPTY_SHA),
+    ("dw_bound", "line_buffer_multiport", 1): (1, EMPTY_SHA),
     ("dw_square", "baseline_dram", 0): (0, "82851f6c3e861f3574cb24b4bb84d0a72b38c4f68982bc11b26b8eaeb01b6195"),
     ("dw_square", "baseline_dram", 1): (0, "d71a229e9a7cbf1f2e40af843eb15c25873b8421c690b39dd25778634a3a397e"),
     ("dw_square", "llc", 0): (0, "ae5ed03afea3b7f3bee0a0554980a917847cc6c8191615e061a50d6376498f44"),
