@@ -69,11 +69,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.rows is not None and not args.design:
         print("error: --rows needs --design", file=sys.stderr)
         return 1
-    eng = memsim.EngineConfig()
     # the header is printed only once every row is priced, so an error
     # leaves stdout empty
     if args.table2:
-        rows = memsim.ablation_table(dims, args.seed, eng)
+        rows = memsim.ablation_table(dims, args.seed)
         print(memsim.CSV_HEADER)
         for row in rows:
             print(memsim.row_to_csv(row))
@@ -90,7 +89,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                llc_routed=bool(args.llc), llc_seed=args.seed + 1)
     else:
         mem = mems[args.llc]
-    report = memsim.simulate(trace, mem, eng)
+    report = memsim.simulate(trace, mem)
     print(memsim.CSV_HEADER)
     print(memsim.row_to_csv(memsim.AblationRow(args.op, mem.design, bool(args.llc), report)))
     return 0

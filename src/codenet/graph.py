@@ -212,45 +212,55 @@ class NetworkGraph:
         raise KeyError(name)
 
     def lint(self) -> None:
-        """Validate operator kinds, wiring, offset settings and channel bookkeeping."""
-        known = {"input"}
-        for n in self.nodes:
-            if n.kind not in KINDS:
-                raise GraphError(f"node '{n.name}': kind {n.kind!r} is not a supported operator")
-            if len(n.inputs) != KINDS[n.kind].arity:
-                raise GraphError(f"node '{n.name}': {n.kind} takes {KINDS[n.kind].arity} input(s)")
-            if n.is_conv and min(n.ic, n.oc) < 1:
-                raise GraphError(f"node '{n.name}': {n.kind} needs ic and oc of at least 1, "
-                                 f"got {n.ic} and {n.oc}")
-            if n.deformable and n.offset_mode not in (ops.BOUNDED_INT, ops.SQUARE):
-                raise GraphError(f"node '{n.name}': unsupported offset mode {n.offset_mode!r}")
-            if n.deformable and n.offset_lo > n.offset_hi:
-                raise GraphError(f"node '{n.name}': empty offset range [{n.offset_lo},{n.offset_hi}]")
-            if n.deformable and n.offset_path not in ops.OFFSET_PATHS:
-                raise GraphError(f"node '{n.name}': unknown offset path {n.offset_path!r}")
-            for src in n.inputs:
-                if src not in known:
-                    raise GraphError(f"node '{n.name}': input '{src}' is not defined earlier (cycle or typo)")
-            known.update(n.output_names)
+        """Check each node in the one walk of ``_out_shapes``, then that each of
+        ``HEADS`` is a conv node with ``classes``, 2 and 2 channels that no node reads."""
         _out_shapes(self)
+        read = {i for n in self.nodes for i in n.inputs}
+        for h, oc in zip(HEADS, (self.classes, 2, 2)):
+            n = next((n for n in self.nodes if n.name == h), None)
+            if n is None or not n.is_conv or n.oc != oc or h in read:
+                raise GraphError(f"head '{h}' must be a conv node with {oc} output channels that no node reads")
 
 
 def _out_shapes(g: NetworkGraph) -> dict[str, tuple[int, int, int]]:
-    """(h, w, c) of every value at the configured input resolution; raises
-    GraphError naming the first node whose parameters do not fit."""
+    """(h, w, c) of every value at the configured input resolution. On the way
+    it checks each node's kind, input count, channels (a conv's ic is its input's),
+    offset settings and shape, and that its inputs are defined earlier and its
+    outputs nowhere else; it raises GraphError naming the first node that fails."""
     shapes = {"input": (g.resolution, g.resolution, 3)}
     for n in g.nodes:
-        ins = [shapes[i] for i in n.inputs]
         try:
+            kind = KINDS.get(n.kind)
+            if kind is None:
+                raise ValueError(f"kind {n.kind!r} is not a supported operator")
+            if len(n.inputs) != kind.arity:
+                raise ValueError(f"{n.kind} takes {kind.arity} input(s)")
+            if n.is_conv and min(n.ic, n.oc) < 1:
+                raise ValueError(f"{n.kind} needs ic and oc of at least 1, got {n.ic} and {n.oc}")
+            if n.deformable and n.offset_mode not in (ops.BOUNDED_INT, ops.SQUARE):
+                raise ValueError(f"unsupported offset mode {n.offset_mode!r}")
+            if n.deformable and n.offset_lo > n.offset_hi:
+                raise ValueError(f"empty offset range [{n.offset_lo},{n.offset_hi}]")
+            if n.deformable and n.offset_path not in ops.OFFSET_PATHS:
+                raise ValueError(f"unknown offset path {n.offset_path!r}")
+            for src in n.inputs:
+                if src not in shapes:
+                    raise ValueError(f"input '{src}' is not defined earlier (cycle or typo)")
+            for out in n.output_names:
+                if out in shapes:
+                    raise ValueError(f"value '{out}' is defined twice")
+            ins = [shapes[i] for i in n.inputs]
             if n.is_conv:
                 spec = n.spec
+                if n.ic != ins[0][2]:
+                    raise ValueError(f"ic {n.ic} does not match the {ins[0][2]} channels of '{n.inputs[0]}'")
                 if spec.depthwise and n.ic != n.oc:
                     raise ValueError("depthwise needs ic == oc")
                 if n.stride != 1 and (spec.kernel == 1 or n.deformable):
                     raise ValueError(f"{n.kind} runs at stride 1 only")
                 out = (*spec.out_hw(*ins[0][:2]), n.oc)
             else:
-                out = KINDS[n.kind].shape(*ins)
+                out = kind.shape(*ins)
         except ValueError as e:
             raise GraphError(f"node '{n.name}': {e}") from None
         shapes.update(dict.fromkeys(n.output_names, out))

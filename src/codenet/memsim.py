@@ -461,8 +461,7 @@ class RooflineResult:
     bound: str | None
 
 
-def roofline(spec: ConvSpec, eng: EngineConfig | None = None,
-             dims: tuple[int, int, int, int] | None = None) -> RooflineResult:
+def roofline(spec: ConvSpec, dims: tuple[int, int, int, int] | None = None) -> RooflineResult:
     """Compute-bound threshold in OPs per loaded activation/weight pair.
 
     A pair is one 8-bit activation plus one 4-bit weight (1.5 bytes), so the
@@ -472,7 +471,7 @@ def roofline(spec: ConvSpec, eng: EngineConfig | None = None,
     own intensity (2 MACs per streamed pair, weights held on chip) is
     classified against the threshold.
     """
-    eng = eng or EngineConfig()
+    eng = EngineConfig()
     kind, macs, weights = engine_work(spec, dims or (1, 1, 1, 1))
     gpairs = DRAM_BYTES_PER_CYCLE * eng.clock_mhz / 1000.0 / 1.5
     threshold = eng.peak_gops(kind) / gpairs
@@ -570,15 +569,13 @@ def _replay_operations(dims: tuple[int, int, int, int]) -> list[str]:
     return operations[:cpus] if cpus > 1 else []
 
 
-def ablation_table(dims: tuple[int, int, int, int], seed: int,
-                   eng: EngineConfig | None = None) -> list[AblationRow]:
+def ablation_table(dims: tuple[int, int, int, int], seed: int) -> list[AblationRow]:
     """Full ablation grid: 4 operations x {full, depthwise} x {no-LLC, LLC}.
 
     Replays of the LLC rows run in forked workers (see the module docstring);
     the rows are priced here, in order, with the same counts on any number
     of CPUs.
     """
-    eng = eng or EngineConfig()
     rows: list[AblationRow] = []
     workers: list[_Replay] = []
     try:
@@ -589,7 +586,7 @@ def ablation_table(dims: tuple[int, int, int, int], seed: int,
             for op in _OPERATIONS:
                 trace, mems = ablation_case(f"{half}_{op}", dims, seed)
                 for llc, mem in enumerate(mems):
-                    rows.append(AblationRow(f"{half}_{op}", mem.design, bool(llc), simulate(trace, mem, eng)))
+                    rows.append(AblationRow(f"{half}_{op}", mem.design, bool(llc), simulate(trace, mem)))
     finally:
         _REPLAYS.clear()
         for worker in workers:

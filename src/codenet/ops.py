@@ -114,20 +114,6 @@ class OffsetField:
     def spatial(self) -> tuple[int, int, int]:
         return self.data.shape[:3]
 
-    def displacements(self) -> np.ndarray:
-        """(n, h, w, 9, 2) integer displacements, expanding square mode."""
-        if self.mode == SQUARE:
-            return square_expand(self.data)
-        if self.mode == FREE_FRAC:
-            raise ValueError("fractional offsets have no integer displacement form")
-        return self.data
-
-
-def zero_offsets(n: int, h: int, w: int, mode: str = BOUNDED_INT, lo: int = 0, hi: int = 0) -> OffsetField:
-    if mode == SQUARE:
-        return OffsetField(SQUARE, np.zeros((n, h, w), dtype=np.int64), lo=lo, hi=hi)
-    return OffsetField(mode, np.zeros((n, h, w, 9, 2)), lo=lo, hi=hi)
-
 
 def square_expand(d: np.ndarray) -> np.ndarray:
     """Expand per-position half-widths into the nine tap displacements.
@@ -295,9 +281,9 @@ def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec, bands: int = 1) -> 
     return FloatTensor(Shape4(*acc.shape), acc)
 
 
-def bilinear_sample(x: FloatTensor, py: float, px: float, c: int, n: int = 0) -> float:
-    """Four-neighbor weighted sample; coordinates beyond the grid read zero."""
-    return float(_sample(x.data[n][None], np.array([py]), np.array([px]))[0, c])
+def bilinear_sample(x: FloatTensor, py: float, px: float, c: int) -> float:
+    """Four-neighbor weighted sample of image 0; coordinates beyond the grid read zero."""
+    return float(_sample(x.data[:1], np.array([py]), np.array([px]))[0, c])
 
 
 def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec,

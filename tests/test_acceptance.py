@@ -167,7 +167,7 @@ def test_criterion_06_oracle_equivalence():
         rp = _rand_rp(rng, c)
         if rng.integers(0, 2):
             off = OffsetField(SQUARE, rng.integers(0, 8, size=(1, h, w)), lo=0, hi=7)
-            disp = off.displacements()[0]
+            disp = ops.square_expand(off.data)[0]
             dy, dx = disp[..., 0], disp[..., 1]
         else:
             vals = rng.integers(-8, 8, size=(1, h, w, 9, 2))
@@ -224,7 +224,7 @@ def test_criterion_08_deformable_float_reference():
     x = FloatTensor(Shape4(1, 10, 10, 4), rng.standard_normal((1, 10, 10, 4)).astype(np.float32))
     w = FloatTensor(Shape4(1, 3, 3, 4), rng.standard_normal((1, 3, 3, 4)).astype(np.float32))
 
-    off0 = ops.zero_offsets(1, 10, 10, mode=FREE_FRAC)
+    off0 = OffsetField(FREE_FRAC, np.zeros((1, 10, 10, 9, 2)))
     dev = np.max(np.abs(ops.deform_conv_ref(x, w, off0, spec).data - ops.conv_ref(x, w, spec).data))
     assert dev <= 1e-5
 

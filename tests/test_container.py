@@ -8,6 +8,7 @@ from codenet.container import (Chunk, CHUNK_DESCRIPTOR, ContainerError, DTYPE_F3
                                tensor_chunk, unpack_i4, write_container, write_image)
 from codenet.graph import quantize_graph, run_inference
 from codenet.quant import QuantParams, quantize
+from codenet.tensor import QuantTensor, Shape4
 
 from conftest import make_calib_images, make_tiny_graph
 
@@ -137,6 +138,25 @@ class TestImageFormat:
             read_image(str(p))
 
 
+def _widen_pw(g):
+    """Give node pw ic 16 on its 8-channel input, with weights that fit ic 16."""
+    n = g.node("pw")
+    n.ic = 16
+    if g.precision == "fp32":
+        n.w_fp = np.concatenate([n.w_fp, n.w_fp])
+    else:
+        n.w_q = QuantTensor(Shape4(16, 1, 1, 8), np.concatenate([n.w_q.data, n.w_q.data]),
+                            bits=4, qparams=n.w_q.qparams)
+
+
+# graphs that break a lint rule, keyed by the node or head the error names
+MALFORMED = {
+    "pw": _widen_pw,
+    "head_y": lambda g: setattr(g.node("head_s"), "name", "head_y"),
+    "head_o": lambda g: g.nodes.remove(g.node("head_o")),
+}
+
+
 class TestMalformedContainers:
     def test_fuzzed_containers_exit_1(self, tmp_path, capsys):
         """Truncated or byte-flipped containers raise ContainerError from
@@ -224,3 +244,27 @@ class TestMalformedContainers:
             load_graph(bad)
         assert cli.main(["infer", bad, image]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_graph_exits_1(self, tmp_path, capsys, name):
+        """A graph whose conv ic is not its input's channel count, that defines
+        a value twice or lacks a head saves (save_graph does not lint) but fails
+        to load, so quantize (fp32) and infer (w4a8) exit 1 naming it."""
+        g = make_tiny_graph(seed=18)
+        gq = quantize_graph(g, make_calib_images(16))
+        fp32, w4a8 = str(tmp_path / "fp32.cdnt"), str(tmp_path / "w4a8.cdnt")
+        for graph, path in ((g, fp32), (gq, w4a8)):
+            MALFORMED[name](graph)
+            save_graph(path, graph)
+            with pytest.raises(ContainerError, match=name):
+                load_graph(path)
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        image = str(calib / "0.img")
+        write_image(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        out = tmp_path / "out.cdnt"
+        for argv in (["quantize", fp32, str(out), "--calib", str(calib)], ["infer", w4a8, image]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and name in err and "Traceback" not in err
+        assert not out.exists()

@@ -30,7 +30,7 @@ class TestDepthwiseReference:
     w = rng.integers(-7, 8, size=(1, 3, 3, 3)).astype(np.int8)
 
     def test_zero_offsets_are_the_regular_kernel(self):
-        zero = ops.zero_offsets(1, 5, 6, ops.BOUNDED_INT)
+        zero = ops.OffsetField(ops.BOUNDED_INT, np.zeros((1, 5, 6, 9, 2)))
         assert np.array_equal(golden.ref_dw3x3(self.x, self.w, off=zero), golden.ref_dw3x3(self.x, self.w))
 
     def test_square_half_width_one_is_the_regular_kernel(self):

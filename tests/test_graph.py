@@ -104,6 +104,57 @@ class TestBuild:
         with pytest.raises(GraphError, match=match):
             g.lint()
 
+    @pytest.mark.parametrize("node,ic", [("stem", 4), ("pw", 16)])
+    def test_linter_rejects_ic_other_than_the_input_channels(self, node, ic):
+        # weights that fit the node's own ic; the stem's input has 3 channels
+        g = make_tiny_graph()
+        n = g.node(node)
+        n.ic, n.w_fp = ic, np.zeros((ic, *n.w_fp.shape[1:]), np.float32)
+        with pytest.raises(GraphError, match=f"'{node}': ic {ic} does not match"):
+            g.lint()
+        with pytest.raises(GraphError, match=f"'{node}'"):
+            count_cost(g)
+
+    @pytest.mark.parametrize("node,name", [("head_s", "head_y"), ("pw", "input"), ("dw", "pw")])
+    def test_linter_rejects_a_value_defined_twice(self, node, name):
+        # container chunks are keyed by node name, so two such nodes would
+        # load with the same weights
+        g = make_tiny_graph()
+        g.node(node).name = name
+        with pytest.raises(GraphError, match=f"node '{name}': value '{name}' is defined twice"):
+            g.lint()
+
+    def test_linter_rejects_a_missing_head(self):
+        g = make_tiny_graph()
+        g.nodes.remove(g.node("head_o"))
+        with pytest.raises(GraphError, match="head 'head_o' must be a conv node"):
+            g.lint()
+
+    def test_linter_rejects_a_pass_through_head(self):
+        g = make_tiny_graph()
+        g.nodes[-1] = LayerNode("head_o", "shuffle", ("dw",))
+        with pytest.raises(GraphError, match="head 'head_o' must be a conv node"):
+            g.lint()
+
+    def test_linter_rejects_a_head_that_is_read(self):
+        g = make_tiny_graph()
+        g.nodes.append(LayerNode("tail", "shuffle", ("head_s",)))
+        with pytest.raises(GraphError, match="head 'head_s' .* that no node reads"):
+            g.lint()
+
+    def test_linter_rejects_heatmap_channels_other_than_classes(self):
+        g = make_tiny_graph(classes=3)
+        g.classes = 4
+        with pytest.raises(GraphError, match="head 'head_y' must be a conv node with 4 output channels"):
+            g.lint()
+
+    def test_linter_rejects_size_channels_other_than_2(self):
+        g = make_tiny_graph()
+        n = g.node("head_s")
+        n.oc, n.w_fp, n.b_fp = 3, np.zeros((8, 1, 1, 3), np.float32), np.zeros(3, np.float32)
+        with pytest.raises(GraphError, match="head 'head_s' must be a conv node with 2 output channels"):
+            g.lint()
+
     def test_only_allowed_kinds_in_built_graphs(self):
         for cfg in "abcde":
             g = build_codenet(cfg)

@@ -12,7 +12,7 @@ from codenet.graph import _float_conv1x1
 from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
                          OffsetField, bilinear_sample, conv1x1_q, conv_ref,
                          deform_conv_q, deform_conv_ref, dw3x3_q, offset_gen,
-                         round_clip_offsets, square_expand, tap_positions, zero_offsets)
+                         round_clip_offsets, square_expand, tap_positions)
 from codenet.quant import RequantParams, derive_requant, requantize
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
@@ -101,7 +101,7 @@ class TestDeformRef:
         x = _ft(RNG.standard_normal((1, 6, 6, 4)).astype(np.float32))
         w = _ft(RNG.standard_normal((1, 3, 3, 4)).astype(np.float32))
         spec = ConvSpec(3, 1, True)
-        off = zero_offsets(1, 6, 6, mode=FREE_FRAC)
+        off = OffsetField(FREE_FRAC, np.zeros((1, 6, 6, 9, 2)))
         got = deform_conv_ref(x, w, off, spec)
         want = conv_ref(x, w, spec)
         assert np.allclose(got.data, want.data, atol=1e-5)
@@ -136,7 +136,7 @@ class TestDeformRef:
         bounded = OffsetField(BOUNDED_INT, rng.integers(-3, 4, size=(1, 7, 7, 9, 2)), lo=-3, hi=3)
         square = OffsetField(SQUARE, rng.integers(0, 4, size=(1, 7, 7)), lo=0, hi=3)
         # square displacements are absolute tap positions around the center
-        for off, delta in ((bounded, bounded.data), (square, square.displacements() - ops.TAPS)):
+        for off, delta in ((bounded, bounded.data), (square, square_expand(square.data) - ops.TAPS)):
             want = deform_conv_ref(x, w, OffsetField(FREE_FRAC, delta), spec)
             got = deform_conv_ref(x, w, off, spec)
             assert np.array_equal(got.data, want.data)
@@ -217,7 +217,7 @@ class TestRowBands:
         spec = ConvSpec(3, 1, depthwise)
         if mode == SQUARE:
             off = OffsetField(SQUARE, rng.integers(0, 4, size=(2, 9, 7)), lo=0, hi=3)
-            delta = off.displacements() - ops.TAPS
+            delta = square_expand(off.data) - ops.TAPS
         else:
             off = OffsetField(BOUNDED_INT, rng.integers(-4, 4, size=(2, 9, 7, 9, 2)), lo=-4, hi=3)
             delta = off.data
@@ -301,7 +301,8 @@ class TestTapPositions:
     def test_square_unit_half_width_is_regular_grid(self):
         spec = ConvSpec(3, 1, True)
         square = OffsetField(SQUARE, np.ones((2, 5, 4), dtype=np.int64), lo=0, hi=1)
-        for a, b in zip(tap_positions(square, spec, 5, 4), tap_positions(zero_offsets(2, 5, 4), spec, 5, 4)):
+        zero = OffsetField(BOUNDED_INT, np.zeros((2, 5, 4, 9, 2)))
+        for a, b in zip(tap_positions(square, spec, 5, 4), tap_positions(zero, spec, 5, 4)):
             assert a.shape == (2, 5, 4, 9) and np.array_equal(a, b)
 
 
@@ -376,7 +377,7 @@ class TestIntegerKernels:
     def test_fractional_offsets_rejected(self):
         x = _codes((1, 4, 4, 1), 8)
         w = _codes((1, 3, 3, 1), 4)
-        off = zero_offsets(1, 4, 4, mode=FREE_FRAC)
+        off = OffsetField(FREE_FRAC, np.zeros((1, 4, 4, 9, 2)))
         with pytest.raises(ValueError):
             deform_conv_q(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True), _unit_rp(1))
 
@@ -398,7 +399,7 @@ def _conv_call(kind, depthwise, w_shape, off_nhw=(1, 6, 6)):
     spec = ConvSpec(3, 1, depthwise)
     xf, wf = _ft(np.zeros((1, 6, 6, 4), np.float32)), _ft(np.zeros(w_shape, np.float32))
     xq, wq = _qt(np.zeros((1, 6, 6, 4), np.int8), 8), _qt(np.zeros(w_shape, np.int8), 4)
-    off, rp = zero_offsets(*off_nhw), _unit_rp(w_shape[-1])
+    off, rp = OffsetField(BOUNDED_INT, np.zeros((*off_nhw, 9, 2))), _unit_rp(w_shape[-1])
     return {
         "conv_ref": lambda: conv_ref(xf, wf, spec),
         "deform_conv_ref": lambda: deform_conv_ref(xf, wf, off, spec),
