@@ -262,6 +262,8 @@ def _parse_descriptor(text: str) -> NetworkGraph:
             if ln.startswith("node "):
                 _, name, *pairs = ln.split()
                 kv = dict(p.split("=", 1) for p in pairs)
+                if kv["relu"] not in ("0", "1"):
+                    raise ValueError(f"node {name}: relu={kv['relu']} is not 0 or 1")
                 nodes.append(LayerNode(
                     name=name,
                     kind=kv["kind"],
@@ -269,7 +271,7 @@ def _parse_descriptor(text: str) -> NetworkGraph:
                     ic=int(kv["ic"]),
                     oc=int(kv["oc"]),
                     stride=int(kv["stride"]),
-                    relu=bool(int(kv["relu"])),
+                    relu=kv["relu"] == "1",
                     # deformable settings a descriptor omits keep LayerNode's defaults
                     **{k: parse(kv[k]) for k, parse in _OFFSET_KEYS.items() if k in kv},
                 ))

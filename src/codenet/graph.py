@@ -60,8 +60,9 @@ class OpKind:
     on ``ops`` at call time, ``run_f(node, inputs, record, bands)``, the float64
     sums before bias and relu as a new array, in ``bands`` concurrent row
     slabs, and ``kernel``, which fixes ConvSpec, weights and cost.
-    A pass-through kind is the ``ops`` function of its name, called by both
-    executors on arrays; it gives only ``shape``, input (h, w, c) to output.
+    A pass-through kind is the ``ops`` function of its name, called on arrays
+    by both executors and, on empty ones, by the shape walk; it gives only
+    ``arity``.
     """
 
     run_q: Callable | None = None
@@ -69,7 +70,6 @@ class OpKind:
     kernel: int = 0
     depthwise: bool = False
     deformable: bool = False
-    shape: Callable | None = None
     arity: int = 1
 
 
@@ -104,18 +104,6 @@ def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable, bands: int) 
     return out.data.astype(np.float64)
 
 
-def _even(s: tuple[int, int, int], *dims: int) -> tuple[int, int, int]:
-    if any(s[d] % 2 for d in dims):
-        raise ValueError(f"needs even {'/'.join('hwc'[d] for d in dims)} dims")
-    return s
-
-
-def _concat_shape(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    if a[:2] != b[:2]:
-        raise ValueError("concat inputs must share h/w dims")
-    return (a[0], a[1], a[2] + b[2])
-
-
 KINDS: dict[str, OpKind] = {
     "conv1x1": OpKind(
         run_q=lambda n, xs: ops.conv1x1_q(xs[0], n.w_q, n.rp),
@@ -129,11 +117,11 @@ KINDS: dict[str, OpKind] = {
     "full3x3_first": OpKind(
         run_q=lambda n, xs: ops.conv3x3_full_q(xs[0], n.w_q, n.spec, n.rp),
         run_f=_float_conv3x3, kernel=3),
-    "maxpool2x2": OpKind(shape=lambda s: (_even(s, 0, 1)[0] // 2, s[1] // 2, s[2])),
-    "upsample2x_nearest": OpKind(shape=lambda s: (2 * s[0], 2 * s[1], s[2])),
-    "split_half": OpKind(shape=lambda s: (s[0], s[1], _even(s, 2)[2] // 2)),
-    "concat": OpKind(shape=_concat_shape, arity=2),
-    "shuffle": OpKind(shape=lambda s: _even(s, 2)),
+    "maxpool2x2": OpKind(),
+    "upsample2x_nearest": OpKind(),
+    "split_half": OpKind(),
+    "concat": OpKind(arity=2),
+    "shuffle": OpKind(),
 }
 CONV_KINDS = tuple(k for k, v in KINDS.items() if v.kernel)
 
@@ -212,8 +200,13 @@ class NetworkGraph:
         raise KeyError(name)
 
     def lint(self) -> None:
-        """Check each node in the one walk of ``_out_shapes``, then that each of
-        ``HEADS`` is a conv node with ``classes``, 2 and 2 channels that no node reads."""
+        """Check the precision and the input delta, each node in the one walk of
+        ``_out_shapes``, then that each of ``HEADS`` is a conv node with
+        ``classes``, 2 and 2 channels that no node reads."""
+        if self.precision not in ("fp32", "w4a8"):
+            raise GraphError(f"precision {self.precision!r} is not fp32 or w4a8")
+        if not 0 < self.input_delta < math.inf:
+            raise GraphError(f"input_delta {self.input_delta!r} is not positive and finite")
         _out_shapes(self)
         read = {i for n in self.nodes for i in n.inputs}
         for h, oc in zip(HEADS, (self.classes, 2, 2)):
@@ -226,7 +219,9 @@ def _out_shapes(g: NetworkGraph) -> dict[str, tuple[int, int, int]]:
     """(h, w, c) of every value at the configured input resolution. On the way
     it checks each node's kind, input count, channels (a conv's ic is its input's),
     offset settings and shape, and that its inputs are defined earlier and its
-    outputs nowhere else; it raises GraphError naming the first node that fails."""
+    outputs nowhere else; it raises GraphError naming the first node that fails.
+    A pass-through node's shapes are those its ``ops`` function gives on empty
+    (0, h, w, c) arrays, so the walk rejects exactly what the op rejects."""
     shapes = {"input": (g.resolution, g.resolution, 3)}
     for n in g.nodes:
         try:
@@ -258,12 +253,13 @@ def _out_shapes(g: NetworkGraph) -> dict[str, tuple[int, int, int]]:
                     raise ValueError("depthwise needs ic == oc")
                 if n.stride != 1 and (spec.kernel == 1 or n.deformable):
                     raise ValueError(f"{n.kind} runs at stride 1 only")
-                out = (*spec.out_hw(*ins[0][:2]), n.oc)
+                outs = [(*spec.out_hw(*ins[0][:2]), n.oc)]
             else:
-                out = kind.shape(*ins)
+                out = getattr(ops, n.kind)(*(np.empty((0, *s), np.int8) for s in ins))
+                outs = [o.shape[1:] for o in (out if isinstance(out, tuple) else (out,))]
         except ValueError as e:
             raise GraphError(f"node '{n.name}': {e}") from None
-        shapes.update(dict.fromkeys(n.output_names, out))
+        shapes.update(zip(n.output_names, outs))
     return shapes
 
 

@@ -14,10 +14,10 @@ regular or deformable, sums its taps in ``_tap_sums``; a deformable tap reads
 ``_sample`` (one ``_gather`` at integer positions, four bilinear corners at
 fractional ones), and ``_check_conv`` is the one check of weight layouts and
 offset fields.
-Integer kernels gather whole pixels (no interpolation), sum code products
-exactly (in float32 under the bound of ``_acc_dtype``, so BLAS can do the
-work) and requantize the 32-bit accumulator to 8-bit codes; out-of-bounds
-samples read as zero in both the float and integer paths.
+Every integer kernel sums code products exactly in ``conv_acc`` (in float32
+under the bound of ``_acc_dtype``, so BLAS can do the work, gathering whole
+pixels with no interpolation) and requantizes that 32-bit accumulator to 8-bit
+codes; out-of-bounds samples read as zero in both the float and integer paths.
 """
 from __future__ import annotations
 
@@ -301,13 +301,6 @@ def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: Conv
 # Integer kernels mirroring the accelerator engines
 # ---------------------------------------------------------------------------
 
-def _check_quant_inputs(x: QuantTensor, w: QuantTensor) -> None:
-    if x.bits != 8:
-        raise ValueError("activations must be 8-bit codes")
-    if w.bits != 4:
-        raise ValueError("weights must be 4-bit codes")
-
-
 # A product of an 8-bit and a 4-bit code is at most 127 * 7 in magnitude, and
 # float32 holds every integer up to 2**24 exactly.
 _MAX_PRODUCT = 127 * 7
@@ -322,76 +315,52 @@ def _acc_dtype(terms: int) -> type:
     return np.float32 if _MAX_PRODUCT * terms <= _F32_EXACT else np.int64
 
 
-def _accum(acc: np.ndarray) -> AccumTensor:
-    """Wrap exact code-product sums; float32 sums are integers below 2**24,
-    so their cast to int32 is exact."""
-    if acc.dtype == np.float32:
-        acc = acc.astype(np.int32)
-    return AccumTensor(Shape4(*acc.shape), acc)
-
-
-def conv1x1_acc(x: QuantTensor, w: QuantTensor) -> AccumTensor:
-    """32-bit accumulator of a pointwise convolution."""
-    _check_quant_inputs(x, w)
-    _check_conv(x, w, ConvSpec(kernel=1))
-    n, h, wd, ic = x.shape.dims
-    oc = w.shape.c
-    dt = _acc_dtype(ic)
-    acc = x.data.reshape(-1, ic).astype(dt) @ w.data.reshape(ic, oc).astype(dt)
-    return _accum(acc.reshape(n, h, wd, oc))
+def conv_acc(x: QuantTensor, w: QuantTensor, spec: ConvSpec, off: OffsetField | None = None) -> AccumTensor:
+    """Exact 32-bit accumulator of 8-bit codes convolved with 4-bit codes, the
+    one accumulate step of every integer kernel: kernel² (times ic unless
+    depthwise) terms per output in the dtype of ``_acc_dtype``, as one matmul
+    for the stride-1 pointwise spec and in ``_tap_sums`` for any other. Offsets
+    must be integers, as the engines do not interpolate. float32 sums are
+    integers below 2**24, so their cast to int32 is exact."""
+    if x.bits != 8 or w.bits != 4:
+        raise ValueError(f"needs 8-bit activation and 4-bit weight codes, got {x.bits} and {w.bits} bits")
+    if off is not None and off.mode == FREE_FRAC:
+        raise ValueError("integer kernel requires integer offsets; round and clip first")
+    _check_conv(x, w, spec, off)
+    dt = _acc_dtype(spec.kernel ** 2 * (1 if spec.depthwise else x.shape.c))
+    if spec == ConvSpec(kernel=1):
+        n, h, wd, ic = x.shape.dims
+        acc = (x.data.reshape(-1, ic).astype(dt) @ w.data.reshape(ic, -1).astype(dt)).reshape(n, h, wd, -1)
+    else:
+        acc = _tap_sums(x.data, w.data, spec, dt, off=off)
+    return AccumTensor(Shape4(*acc.shape), acc.astype(np.int32) if dt is np.float32 else acc)
 
 
 def conv1x1_q(x: QuantTensor, w: QuantTensor, rp: RequantParams) -> QuantTensor:
-    """Pointwise integer convolution plus requantization.
-
-    The accumulation is an exact integer dot product over input channels
-    (a float32 matmul under the bound of ``_acc_dtype``), so the result is
-    independent of the matmul's tiling order and thread count.
-    """
-    return requantize(conv1x1_acc(x, w), rp)
-
-
-def dw3x3_acc(x: QuantTensor, w: QuantTensor, spec: ConvSpec) -> AccumTensor:
-    """Regular depthwise 3x3 accumulator (tap-sliced, no gather)."""
-    _check_quant_inputs(x, w)
-    if not spec.depthwise or spec.kernel != 3:
-        raise ValueError("dw3x3 expects a depthwise 3x3 spec")
-    _check_conv(x, w, spec)
-    return _accum(_tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS))))
+    """Pointwise integer convolution; its exact sums do not depend on the
+    matmul's tiling order or thread count."""
+    return requantize(conv_acc(x, w, ConvSpec(kernel=1)), rp)
 
 
 def dw3x3_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantParams) -> QuantTensor:
-    return requantize(dw3x3_acc(x, w, spec), rp)
+    """Regular depthwise 3x3 integer convolution (tap-sliced, no gather)."""
+    if not spec.depthwise or spec.kernel != 3:
+        raise ValueError("dw3x3_q expects a depthwise 3x3 spec")
+    return requantize(conv_acc(x, w, spec), rp)
 
 
 def conv3x3_full_q(x: QuantTensor, w: QuantTensor, spec: ConvSpec, rp: RequantParams) -> QuantTensor:
     """Full 3x3 integer convolution (the stem layer; runs on the host)."""
-    _check_quant_inputs(x, w)
     if spec.depthwise or spec.kernel != 3:
-        raise ValueError("conv3x3_full expects a full 3x3 spec")
-    _check_conv(x, w, spec)
-    acc = _tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS) * x.shape.c))
-    return requantize(_accum(acc), rp)
-
-
-def deform_conv_acc(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: ConvSpec) -> AccumTensor:
-    """Integer-gather depthwise deformable accumulator.
-
-    Offsets must already be integers (free_int, bounded_int or square); a
-    fractional field is rejected since the engine performs no interpolation.
-    Sampled positions falling outside the map contribute zero.
-    """
-    _check_quant_inputs(x, w)
-    if off.mode == FREE_FRAC:
-        raise ValueError("integer kernel requires integer offsets; round and clip first")
-    if not spec.depthwise or spec.kernel != 3:
-        raise ValueError("deform_conv_q supports depthwise 3x3 only")
-    _check_conv(x, w, spec, off)
-    return _accum(_tap_sums(x.data, w.data, spec, _acc_dtype(len(TAPS)), off=off))
+        raise ValueError("conv3x3_full_q expects a full 3x3 spec")
+    return requantize(conv_acc(x, w, spec), rp)
 
 
 def deform_conv_q(x: QuantTensor, w: QuantTensor, off: OffsetField, spec: ConvSpec, rp: RequantParams) -> QuantTensor:
-    return requantize(deform_conv_acc(x, w, off, spec), rp)
+    """Integer-gather depthwise deformable 3x3 convolution."""
+    if not spec.depthwise or spec.kernel != 3:
+        raise ValueError("deform_conv_q expects a depthwise 3x3 spec")
+    return requantize(conv_acc(x, w, spec, off), rp)
 
 
 def offset_gen(
@@ -417,7 +386,7 @@ def offset_gen(
         q = conv1x1_q(x, w_off, rp)
         reals = q.data.astype(np.float64) * rp.out_delta
     elif path == "direct":
-        acc = conv1x1_acc(x, w_off)
+        acc = conv_acc(x, w_off, ConvSpec(kernel=1))
         m, s, b = rp.multiplier, rp.shift, rp.bias
         factor = m.astype(np.float64) * np.exp2(-s.astype(np.float64)) * rp.out_delta
         reals = acc.data.astype(np.float64) * factor + b.astype(np.float64) * rp.out_delta
@@ -427,7 +396,8 @@ def offset_gen(
 
 
 # ---------------------------------------------------------------------------
-# Pass-through ops on NHWC arrays, codes or reals: one for both executors
+# Pass-through ops on NHWC arrays, codes, reals or empty: one for both
+# executors and the shape walk
 # ---------------------------------------------------------------------------
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

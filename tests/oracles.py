@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 
+from codenet.golden import ref_conv1x1, ref_dw3x3, ref_requantize
+from codenet.graph import HEADS, LayerNode, NetworkGraph, sigmoid_lut
 from codenet.memsim import (ACP_REQUEST_CYCLES, DRAM_BYTES_PER_CYCLE, DRAM_LATENCY, LLC_HIT_CYCLES,
                             LLC_LINE, LLC_SETS, LLC_WAYS)
+from codenet.ops import BOUNDED_INT, SQUARE, OffsetField
 
 
 def quantize_scalar(x: float, t: float, bits: int) -> int:
@@ -148,6 +151,54 @@ def int_conv1x1_loop(x: np.ndarray, w: np.ndarray) -> np.ndarray:
                         s += int(x[b, y, xx, i]) * int(w[i, 0, 0, o])
                     acc[b, y, xx, o] = s
     return acc
+
+
+def scalar_offsets(n: LayerNode, x: np.ndarray) -> OffsetField:
+    """Offset field of deformable node ``n`` on codes ``x``, one value at a
+    time: the offset 1x1 sums, then either their requantized codes times the
+    output delta or (``direct``) the sums times the real rescale plus the
+    bias; each real is rounded half away from zero and clipped."""
+    acc, rp = ref_conv1x1(x, n.off_w_q.data), n.off_rp
+    codes = ref_requantize(acc, rp) if n.offset_path == "requant" else None
+    lo = max(n.offset_lo, 0) if n.offset_mode == SQUARE else n.offset_lo
+    vals = np.zeros(acc.shape, dtype=np.int64)
+    for idx in np.ndindex(acc.shape):
+        ch = idx[-1] if rp.num_channels == acc.shape[-1] else 0
+        if codes is not None:
+            real = float(codes[idx]) * rp.out_delta
+        else:
+            scale = float(rp.multiplier[ch]) * 2.0 ** -int(rp.shift[ch]) * rp.out_delta
+            real = float(acc[idx]) * scale + float(rp.bias[ch]) * rp.out_delta
+        vals[idx] = min(max(math.copysign(math.floor(abs(real) + 0.5), real), lo), n.offset_hi)
+    if n.offset_mode == SQUARE:
+        return OffsetField(SQUARE, vals[..., 0], lo=lo, hi=n.offset_hi)
+    return OffsetField(BOUNDED_INT, vals.reshape(*vals.shape[:3], 9, 2), lo=lo, hi=n.offset_hi)
+
+
+def scalar_network(gq: NetworkGraph, codes: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, OffsetField]]:
+    """The heads of w4a8 graph ``gq`` (conv nodes only) on image codes
+    (n,h,w,3), from the scalar loops alone: conv2d_loop for the stem, the
+    golden 1x1 and depthwise references for the other convs, the golden
+    requantizer after each, and the sigmoid table on the heatmap codes.
+    Returns (heatmap, sizes, offsets) and each deformable node's field."""
+    values, fields = {"input": codes}, {}
+    for n in gq.nodes:
+        x, w = values[n.inputs[0]], n.w_q.data
+        if n.kind == "full3x3_first":
+            acc = conv2d_loop(x, w, n.stride, 1, depthwise=False).astype(np.int64)
+        elif n.kind == "conv1x1":
+            acc = ref_conv1x1(x, w)
+        elif n.kind == "dw3x3":
+            acc = ref_dw3x3(x, w, n.stride)
+        elif n.kind == "dw3x3_deform":
+            fields[n.name] = scalar_offsets(n, x)
+            acc = ref_dw3x3(x, w, n.stride, fields[n.name])
+        else:
+            raise NotImplementedError(f"no scalar loop for {n.kind}")
+        values[n.name] = ref_requantize(acc, n.rp)
+    y, s, o = (values[h] for h in HEADS)
+    dy, ds, do = (gq.node(h).rp.out_delta for h in HEADS)
+    return (sigmoid_lut(dy)[y.astype(np.int64) + 128], s * ds, o * do), fields
 
 
 def peaks_exhaustive(hm: np.ndarray, top_k: int = 100) -> list[tuple[int, int, int, float]]:

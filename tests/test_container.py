@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,39 @@ class TestMalformedContainers:
             load_graph(bad)
         assert cli.main(["infer", bad, image]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision,pattern,repl,field", [
+        ("w4a8", r"^input_delta .*$", "input_delta nan", "input_delta"),
+        ("w4a8", r"^input_delta .*$", "input_delta inf", "input_delta"),
+        ("w4a8", r"^(node pw .*) relu=1", r"\1 relu=7", "relu"),
+        ("fp32", r"^precision fp32$", "precision int2", "precision"),
+    ], ids=["input_delta_nan", "input_delta_inf", "relu_7", "precision_int2"])
+    def test_bad_descriptor_fields_exit_1(self, tmp_path, capsys, precision, pattern, repl, field):
+        """A descriptor whose input delta is not positive and finite, whose
+        relu flag is not 0 or 1 or whose precision is unknown fails to load,
+        so infer (and quantize, for fp32 chunks) exits 1 naming the field."""
+        g = make_tiny_graph(seed=19)
+        good, bad = str(tmp_path / "good.cdnt"), str(tmp_path / "bad.cdnt")
+        save_graph(good, g if precision == "fp32" else quantize_graph(g, make_calib_images(16)))
+        load_graph(good)
+        chunks = read_container(good)
+        text, count = re.subn(pattern, repl, chunks[0].payload.decode(), flags=re.M)
+        assert count == 1
+        chunks[0] = Chunk(CHUNK_DESCRIPTOR, "graph", text.encode())
+        write_container(bad, chunks)
+        with pytest.raises(ContainerError, match=field):
+            load_graph(bad)
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        image = str(calib / "0.img")
+        write_image(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        argvs = [["infer", bad, image]]
+        if precision == "fp32":
+            argvs.append(["quantize", bad, str(tmp_path / "out.cdnt"), "--calib", str(calib)])
+        for argv in argvs:
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and field in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_graph_exits_1(self, tmp_path, capsys, name):

@@ -16,7 +16,7 @@ from codenet.quant import QuantParams, RequantParams, quantize
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
 from conftest import make_calib_images, make_tiny_graph, param_digest
-from oracles import conv2d_loop
+from oracles import conv2d_loop, scalar_network
 
 
 def _quant_image(g, image_f):
@@ -281,6 +281,32 @@ class TestInference:
             assert np.array_equal(got.data, np.concatenate([s[head].data for s in singles]))
 
 
+class TestScalarNetwork:
+    """The integer executor equals a network of scalar reference loops, bit
+    for bit, so no kernel rewrite can pass on the pins alone."""
+
+    @pytest.mark.parametrize("deform,offset_mode,offset_path", [
+        (False, ops.BOUNDED_INT, "requant"),
+        (True, ops.BOUNDED_INT, "requant"), (True, ops.BOUNDED_INT, "direct"),
+        (True, ops.SQUARE, "requant"), (True, ops.SQUARE, "direct"),
+    ])
+    def test_run_inference_matches_the_scalar_loops(self, deform, offset_mode, offset_path):
+        g = make_tiny_graph(seed=11, resolution=32, deform=deform, offset_mode=offset_mode)
+        rng = np.random.default_rng(12)
+        for n in g.nodes:  # nonzero biases, so the requant and offset biases count;
+            # positive offset ones, or every square half-width clips to 0
+            n.b_fp = rng.normal(0, 0.5, n.oc).astype(np.float32)
+            if n.deformable:
+                n.off_b_fp = rng.uniform(2, 4, n.off_b_fp.size).astype(np.float32)
+        gq = quantize_graph(g, make_calib_images(32), offset_path=offset_path)
+        codes = np.concatenate([_quant_image(gq, img).data for img in make_calib_images(32, seed=17)])
+        heads, fields = scalar_network(gq, codes)
+        for got, want in zip(run_inference(gq, QuantTensor(Shape4(*codes.shape), codes)), heads, strict=True):
+            assert np.array_equal(got.data, want.astype(got.data.dtype))  # a FloatTensor holds float32
+        for off in fields.values():  # the fields vary, so the taps do move
+            assert len(np.unique(off.data)) > 1
+
+
 class TestFloatVsInt:
     def test_tiny_graph_within_quantization_bound(self):
         g = make_tiny_graph(seed=7, channels=6)
@@ -412,11 +438,11 @@ class TestCalibration:
                 return real(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        passthrough = [k for k, v in G.KINDS.items() if v.shape]
+        g = build_codenet("b")  # has every pass-through kind; its lint enters them
+        passthrough = [k for k, v in G.KINDS.items() if not v.kernel]
         spy(G, "run_inference_float")
         for name in ("conv_ref", "deform_conv_ref", *passthrough):
             spy(ops, name)
-        g = build_codenet("b")  # has every pass-through kind
         quantize_graph(g, make_calib_images(g.resolution, count=count))
         passes = entered.pop("run_inference_float")
         assert set(entered) == {"conv_ref", "deform_conv_ref", *passthrough}
@@ -490,33 +516,52 @@ class TestCalibration:
 class TestPassThrough:
     """A pass-through kind is the ops function of its name, in both executors."""
 
-    KINDS = [k for k, v in G.KINDS.items() if v.shape]
+    KINDS = [k for k, v in G.KINDS.items() if not v.kernel]
+
+    def test_out_shapes_match_both_executors(self, monkeypatch):
+        # every value either executor produces on config b, which has all five
+        # kinds, has the (h, w, c) that the shape walk gives it
+        g = build_codenet("b")
+        img = make_calib_images(g.resolution, count=1)[0]
+        gq = quantize_graph(g, [img])
+        seen = {}
+        real = G._run_nodes
+
+        def recording(graph, image, run):
+            def record(n, xs):
+                out = run(n, xs)
+                outs = out if isinstance(out, tuple) else (out,)
+                seen.update((v, getattr(o, "data", o).shape) for v, o in zip(n.output_names, outs))
+                return out
+            return real(graph, image, record)
+        monkeypatch.setattr(G, "_run_nodes", recording)
+        want = {v: (1, *s) for v, s in G._out_shapes(g).items() if v != "input"}
+        run_inference_float(g, img)
+        assert seen == want
+        seen.clear()
+        run_inference(gq, _quant_image(gq, img))
+        assert seen == want
 
     @pytest.mark.parametrize("kind, ins", [
-        ("maxpool2x2", [(6, 4, 3)]),
-        ("upsample2x_nearest", [(3, 5, 2)]),
-        ("split_half", [(2, 3, 6)]),
-        ("concat", [(2, 3, 4), (2, 3, 6)]),
-        ("shuffle", [(3, 2, 8)]),
-    ])
-    def test_shape_rule_matches_the_op(self, kind, ins):
-        arrays = [np.arange(np.prod(s), dtype=np.int8).reshape(1, *s) for s in ins]
-        out = getattr(ops, kind)(*arrays)
-        for o in out if isinstance(out, tuple) else (out,):
-            assert o.shape[1:] == G.KINDS[kind].shape(*ins)
-
-    @pytest.mark.parametrize("kind, ins", [
-        ("maxpool2x2", [(5, 4, 3)]),
-        ("maxpool2x2", [(4, 3, 3)]),
-        ("split_half", [(2, 2, 5)]),
-        ("concat", [(2, 3, 4), (2, 4, 4)]),
-        ("shuffle", [(2, 2, 7)]),
+        ("maxpool2x2", [(5, 5, 3)]),
+        ("maxpool2x2", [(3, 3, 4)]),
+        ("split_half", [(4, 4, 5)]),
+        ("concat", [(4, 4, 4), (2, 2, 4)]),
+        ("shuffle", [(4, 4, 7)]),
     ])
     def test_odd_inputs_raise_from_both(self, kind, ins):
-        with pytest.raises(ValueError):
-            G.KINDS[kind].shape(*ins)
-        with pytest.raises(ValueError):
+        # the op rejects the inputs, and lint rejects a node that reads convs
+        # of those shapes with the op's message, naming the node
+        with pytest.raises(ValueError) as op_error:
             getattr(ops, kind)(*(np.zeros((1, *s)) for s in ins))
+        r = ins[0][0]
+        srcs = [LayerNode(f"src{k}", "full3x3_first", ("input",), ic=3, oc=c, stride=r // h)
+                for k, (h, _, c) in enumerate(ins)]
+        g = G.NetworkGraph([*srcs, LayerNode("bad", kind, tuple(n.name for n in srcs))], config="a",
+                           resolution=r, width_mult=1, downsample="stride4", classes=2)
+        with pytest.raises(GraphError) as lint_error:
+            g.lint()
+        assert str(lint_error.value) == f"node 'bad': {op_error.value}"
 
     def test_entries_hold_no_executor_code(self):
         assert sorted(self.KINDS) == sorted(("maxpool2x2", "upsample2x_nearest", "split_half",

@@ -370,7 +370,7 @@ class TestIntegerKernels:
         off_i = OffsetField(FREE_INT, vals)
         off_f = OffsetField(FREE_FRAC, vals.astype(np.float64))
         spec = ConvSpec(3, 1, True)
-        got = ops.deform_conv_acc(_qt(x, 8), _qt(w, 4), off_i, spec)
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), spec, off_i)
         want = deform_conv_ref(_ft(x.astype(np.float32)), _ft(w.astype(np.float32)), off_f, spec)
         assert np.allclose(got.data.astype(np.float64), want.data, atol=1e-4)
 
@@ -393,10 +393,11 @@ class TestIntegerKernels:
         assert dist.max() <= hi + 1
 
 
-def _conv_call(kind, depthwise, w_shape, off_nhw=(1, 6, 6)):
+def _conv_call(kind, depthwise, w_shape, off_nhw=(1, 6, 6), spec=None):
     """A call of conv entry point ``kind`` on a 6x6x4 zero input, weights of
-    ``w_shape`` and, for the deformable kinds, a zero field of ``off_nhw``."""
-    spec = ConvSpec(3, 1, depthwise)
+    ``w_shape`` and, for the deformable kinds, a zero field of ``off_nhw``,
+    with ``spec`` or else the stride-1 3x3 spec of ``depthwise``."""
+    spec = spec or ConvSpec(3, 1, depthwise)
     xf, wf = _ft(np.zeros((1, 6, 6, 4), np.float32)), _ft(np.zeros(w_shape, np.float32))
     xq, wq = _qt(np.zeros((1, 6, 6, 4), np.int8), 8), _qt(np.zeros(w_shape, np.int8), 4)
     off, rp = OffsetField(BOUNDED_INT, np.zeros((*off_nhw, 9, 2))), _unit_rp(w_shape[-1])
@@ -440,6 +441,16 @@ class TestConvChecks:
         with pytest.raises(ValueError, match="offset field spatial shape"):
             _conv_call(kind, *self.RIGHT[kind], off_nhw=off_nhw)()
 
+    @pytest.mark.parametrize("kind,spec", [
+        ("dw3x3_q", ConvSpec(3, 1, False)), ("dw3x3_q", ConvSpec(1, 1, True)),
+        ("conv3x3_full_q", ConvSpec(3, 1, True)), ("conv3x3_full_q", ConvSpec(1, 1, False)),
+        ("deform_conv_q", ConvSpec(3, 1, False)), ("deform_conv_q", ConvSpec(1, 1, True)),
+    ])
+    def test_wrong_engine_spec(self, kind, spec):
+        # each integer kernel runs the one spec of its engine, whatever the weights
+        with pytest.raises(ValueError, match=f"{kind} expects a (depthwise|full) 3x3 spec"):
+            _conv_call(kind, *self.RIGHT[kind], spec=spec)()
+
 
 def _extreme_codes(shape, bits, rng):
     # every code at full magnitude (127 or 7), signs drawn at random
@@ -453,7 +464,7 @@ class TestExactAccumulation:
     def _max_dot(self, ic):
         x = np.full((1, 1, 1, ic), 127, dtype=np.int8)
         w = np.full((ic, 1, 1, 1), 7, dtype=np.int8)
-        return int(ops.conv1x1_acc(_qt(x, 8), _qt(w, 4)).data[0, 0, 0, 0])
+        return int(ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(1)).data[0, 0, 0, 0])
 
     def test_largest_float32_sum_is_exact(self):
         assert self._max_dot(18_872) == 16_777_208
@@ -464,11 +475,11 @@ class TestExactAccumulation:
 
     def test_bound_survives_optimized_mode(self):
         # the bound is a branch, not an assert that `python -O` strips
-        code = ("import numpy as np; from codenet.ops import conv1x1_acc; "
+        code = ("import numpy as np; from codenet.ops import ConvSpec, conv_acc; "
                 "from codenet.tensor import QuantTensor, Shape4; "
                 "x = QuantTensor(Shape4(1, 1, 1, 18873), np.full((1, 1, 1, 18873), 127)); "
                 "w = QuantTensor(Shape4(18873, 1, 1, 1), np.full((18873, 1, 1, 1), 7), bits=4); "
-                "print(conv1x1_acc(x, w).data[0, 0, 0, 0])")
+                "print(conv_acc(x, w, ConvSpec(1)).data[0, 0, 0, 0])")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, env=env, check=True)
@@ -480,7 +491,7 @@ class TestExactAccumulation:
         x = _extreme_codes((1, 9, 11, 5), 8, rng)
         w = _extreme_codes((1, 3, 3, 5), 4, rng)
         x[0, :4, :4, 0], w[..., 0] = 127, 7  # output (1, 1) sees 9 products of 889
-        got = ops.dw3x3_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, True))
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, True))
         want = conv2d_loop(x, w, stride, 1, depthwise=True).astype(np.int64)
         assert np.array_equal(got.data, want) and got.data[0, 1, 1, 0] == 9 * 889
 
@@ -503,7 +514,7 @@ class TestExactAccumulation:
         w = _extreme_codes((1, 3, 3, 6), 4, rng)
         vals = rng.integers(-3, 4, size=(1, 7, 8, 9, 2))
         off = OffsetField(BOUNDED_INT, vals, lo=-3, hi=3)
-        got = ops.deform_conv_acc(_qt(x, 8), _qt(w, 4), off, ConvSpec(3, 1, True))
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, 1, True), off)
         disp = ops.TAPS + vals[0]
         want = int_dw_deform_loop(x, w, disp[..., 0], disp[..., 1])
         assert np.array_equal(got.data, want)
@@ -531,7 +542,7 @@ class TestNoInputMutation:
         self._check(lambda a, b: ops.conv3x3_full_q(a, b, ConvSpec(3, 2, False), rp),
                     x, _qt(_codes((4, 3, 3, 4), 4, rng), 4))
         assert np.array_equal(off.data, off_before)
-        acc = ops.conv1x1_acc(x, _qt(_codes((4, 1, 1, 4), 4, rng), 4))
+        acc = ops.conv_acc(x, _qt(_codes((4, 1, 1, 4), 4, rng), 4), ConvSpec(1))
         self._check(lambda a: requantize(a, rp), acc)
 
 
