@@ -543,6 +543,27 @@ class TestPassThrough:
         assert seen == want
 
     @pytest.mark.parametrize("kind, ins", [
+        ("maxpool2x2", [(6, 6, 3)]),
+        ("upsample2x_nearest", [(3, 3, 2)]),
+        ("split_half", [(2, 2, 6)]),
+        ("concat", [(2, 2, 4), (2, 2, 6)]),
+        ("shuffle", [(3, 3, 8)]),
+    ])
+    def test_shape_rule_matches_the_op(self, kind, ins):
+        # the shape walk gives a node of each kind the shapes its op gives on data
+        arrays = [np.arange(np.prod(s), dtype=np.int8).reshape(1, *s) for s in ins]
+        out = getattr(ops, kind)(*arrays)
+        r = ins[0][0]
+        srcs = [LayerNode(f"src{k}", "full3x3_first", ("input",), ic=3, oc=c, stride=r // h)
+                for k, (h, _, c) in enumerate(ins)]
+        node = LayerNode("n", kind, tuple(n.name for n in srcs))
+        g = G.NetworkGraph([*srcs, node], config="a", resolution=r, width_mult=1,
+                           downsample="stride4", classes=2)
+        shapes = G._out_shapes(g)
+        outs = out if isinstance(out, tuple) else (out,)
+        assert [shapes[v] for v in node.output_names] == [o.shape[1:] for o in outs]
+
+    @pytest.mark.parametrize("kind, ins", [
         ("maxpool2x2", [(5, 5, 3)]),
         ("maxpool2x2", [(3, 3, 4)]),
         ("split_half", [(4, 4, 5)]),
