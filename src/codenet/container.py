@@ -215,10 +215,7 @@ def _descriptor_text(g: NetworkGraph) -> str:
     lines = [
         "codenet-graph 1",
         f"config {g.config}",
-        f"classes {g.classes}",
         f"resolution {g.resolution}",
-        f"width_mult {g.width_mult}",
-        f"downsample {g.downsample}",
         f"precision {g.precision}",
         f"input_delta {g.input_delta!r}",
     ]
@@ -278,16 +275,10 @@ def _parse_descriptor(text: str) -> NetworkGraph:
             else:
                 key, value = ln.split(maxsplit=1)
                 meta[key] = value
-        return NetworkGraph(
-            nodes,
-            config=meta["config"],
-            resolution=int(meta["resolution"]),
-            width_mult=int(meta["width_mult"]),
-            downsample=meta["downsample"],
-            classes=int(meta["classes"]),
-            precision=meta["precision"],
-            input_delta=float(meta["input_delta"]),
-        )
+        # meta keys it does not know, such as the classes, width_mult and
+        # downsample lines of older descriptors, are ignored
+        return NetworkGraph(nodes, config=meta["config"], resolution=int(meta["resolution"]),
+                            precision=meta["precision"], input_delta=float(meta["input_delta"]))
     except KeyError as e:
         raise ContainerError(f"graph descriptor lacks {e}") from e
     except ValueError as e:
@@ -304,6 +295,13 @@ def load_graph(path: str) -> NetworkGraph:
         except KeyError:
             raise ContainerError(f"container has no chunk '{name}'") from None
 
+    def qparams(name: str, channels: int) -> tuple[QuantParams | None, RequantParams]:
+        wq, rp = parse_qparams(chunk(CHUNK_QPARAMS, name))
+        if rp is None or rp.num_channels != channels:
+            have = rp.num_channels if rp else 0
+            raise ValueError(f"requant parameters '{name}' cover {have} channels, not {channels}")
+        return wq, rp
+
     try:
         g = _parse_descriptor(chunk(CHUNK_DESCRIPTOR, "graph").payload.decode("utf-8"))
         g.lint()
@@ -319,20 +317,22 @@ def load_graph(path: str) -> NetworkGraph:
             w = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/w")).reshape(n.weight_shape)
             if g.precision == "fp32":
                 n.w_fp = w.astype(np.float32)
-                n.b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/b")).astype(np.float32)
+                n.b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/b")).reshape(n.oc).astype(np.float32)
                 if n.deformable:
                     n.off_w_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_w")).reshape(
                         n.offset_weight_shape).astype(np.float32)
-                    n.off_b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_b")).astype(np.float32)
+                    n.off_b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_b")).reshape(
+                        n.offset_weight_shape[-1]).astype(np.float32)
             else:
-                wq, n.rp = parse_qparams(chunk(CHUNK_QPARAMS, n.name))
+                wq, n.rp = qparams(n.name, n.oc)
                 n.w_q = QuantTensor(Shape4(*w.shape), w, bits=4, qparams=wq)
                 if n.deformable:
                     off_w = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_w")).reshape(n.offset_weight_shape)
-                    off_qp, n.off_rp = parse_qparams(chunk(CHUNK_QPARAMS, n.name + "/off"))
+                    off_qp, n.off_rp = qparams(n.name + "/off", n.offset_weight_shape[-1])
                     n.off_w_q = QuantTensor(Shape4(*off_w.shape), off_w, bits=4, qparams=off_qp)
         except ValueError as e:
-            # weights that do not fit the node's shape or code range
+            # weights, biases or requant vectors that do not fit the node's
+            # shape, and codes out of range
             raise ContainerError(f"node '{n.name}': {e}") from e
     return g
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
@@ -186,9 +185,6 @@ class NetworkGraph:
     nodes: list[LayerNode]
     config: str
     resolution: int
-    width_mult: int
-    downsample: str
-    classes: int
     precision: str = "fp32"
     input_delta: float = 1.0 / 127.0
     stride_out: ClassVar[int] = OUTPUT_STRIDE
@@ -199,20 +195,26 @@ class NetworkGraph:
                 return n
         raise KeyError(name)
 
+    @property
+    def classes(self) -> int:
+        """One heatmap channel per class."""
+        return self.node("head_y").oc
+
     def lint(self) -> None:
         """Check the precision and the input delta, each node in the one walk of
-        ``_out_shapes``, then that each of ``HEADS`` is a conv node with
-        ``classes``, 2 and 2 channels that no node reads."""
+        ``_out_shapes``, then that each of ``HEADS`` is a conv node that no node
+        reads, the size and offset heads with 2 channels."""
         if self.precision not in ("fp32", "w4a8"):
             raise GraphError(f"precision {self.precision!r} is not fp32 or w4a8")
         if not 0 < self.input_delta < math.inf:
             raise GraphError(f"input_delta {self.input_delta!r} is not positive and finite")
         _out_shapes(self)
         read = {i for n in self.nodes for i in n.inputs}
-        for h, oc in zip(HEADS, (self.classes, 2, 2)):
+        for h, oc in zip(HEADS, (None, 2, 2)):  # None: one heatmap channel per class
             n = next((n for n in self.nodes if n.name == h), None)
-            if n is None or not n.is_conv or n.oc != oc or h in read:
-                raise GraphError(f"head '{h}' must be a conv node with {oc} output channels that no node reads")
+            if n is None or not n.is_conv or oc not in (None, n.oc) or h in read:
+                channels = f" with {oc} output channels" if oc else ""
+                raise GraphError(f"head '{h}' must be a conv node{channels} that no node reads")
 
 
 def _out_shapes(g: NetworkGraph) -> dict[str, tuple[int, int, int]]:
@@ -347,8 +349,7 @@ def build_codenet(
     for name, oc in zip(HEADS, (classes, 2, 2)):
         b.conv(name, "conv1x1", cur, in_c, oc)
 
-    g = NetworkGraph(b.nodes, config=config, resolution=resolution, width_mult=mult,
-                     downsample=downsample, classes=classes)
+    g = NetworkGraph(b.nodes, config=config, resolution=resolution)
     g.lint()
     return g
 
@@ -495,10 +496,10 @@ def run_inference_float(
     it accumulates the max absolute value seen at every conv output (used for
     activation calibration).
 
-    The nodes run one after another on the calling thread; each conv splits
-    its output rows into ``bands`` slabs (default: one per CPU this process
-    may use) that are summed concurrently. Every output element is computed
-    the same way for any band count, so the result does not depend on it.
+    The nodes run one after another on the calling thread, a pool thread too;
+    each conv sums ``bands`` row slabs (default: one per CPU this process may
+    use) at once on the band pool. Every output element is computed the same
+    way for any band count, so the result does not depend on it.
     """
     if bands is None:
         bands = len(os.sched_getaffinity(0))
@@ -526,38 +527,36 @@ def run_inference_float(
 # Post-training quantization
 # ---------------------------------------------------------------------------
 
-def _union_find_groups(g: NetworkGraph) -> dict[str, str]:
-    """Map each conv node to its activation-scale group representative.
+def _scale_groups(g: NetworkGraph) -> dict[str, str]:
+    """Map every value to the representative of its activation-scale group.
 
-    Values that meet at a concat must share one activation scale, so the conv
-    sources feeding a pass-through op are unioned (with one input they are
-    already one group) and the op forwards them.
-    """
-    parent: dict[str, str] = {}
+    A pass-through node moves codes without rescaling them, so one union-find
+    over values joins its inputs and outputs (values that meet at a concat
+    share one scale, as in Jacob et al. 2018, arXiv 1712.05877). The input's
+    scale and a conv output's are calibrated apart, so the first pass-through
+    node that joins them in one group raises GraphError."""
+    parent = {"input": "input"}
 
-    def find(a: str) -> str:
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def find(v: str) -> str:
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    sources: dict[str, set[str]] = {"input": {"input"}}
+    scaled: set[str] = set()  # groups that hold a conv output
     for n in g.nodes:
         if n.is_conv:
-            srcs = {n.name}
-        else:
-            srcs = set().union(*(sources[i] for i in n.inputs))
-            first = next(iter(srcs))
-            for other in srcs:
-                union(first, other)
-        for out in n.output_names:
-            sources[out] = srcs
-    return {k: find(k) for k in list(parent)} | {n.name: find(n.name) for n in g.nodes if n.is_conv}
+            scaled.add(find(n.name))
+            continue
+        root = find(n.inputs[0])
+        for v in (*n.inputs[1:], *n.output_names):
+            r = find(v)
+            if r in scaled:
+                scaled.add(root)
+            parent[r] = root
+        if root in scaled and root == find("input"):
+            raise GraphError(f"node '{n.name}': {n.kind} inputs carry different scales")
+    return {v: find(v) for v in list(parent)}
 
 
 def quantize_graph(
@@ -567,81 +566,56 @@ def quantize_graph(
     offset_path: str = "requant",
 ) -> NetworkGraph:
     """Post-training quantization: 4-bit per-channel weights, 8-bit per-layer
-    activations, fixed-point requantization parameters per conv."""
+    activations, fixed-point requantization parameters per conv.
+
+    One float pass per image runs through ``ops._in_bands``, as many at once as
+    there are CPUs (image 0 on the calling thread), and the CPUs left over split
+    each pass's conv rows into bands; each pass does the arithmetic of a one-band
+    pass and the maxima are folded in image order, so neither count changes the
+    result. A value's delta is the input's, or its scale group's largest conv
+    maximum over 127."""
     if g.precision != "fp32":
         raise GraphError(f"graph is {g.precision}, not fp32")
     if not calib_images:
         raise GraphError("calibration needs at least one image")
     if offset_path not in ops.OFFSET_PATHS:
         raise GraphError(f"unknown offset path {offset_path!r}; expected one of {ops.OFFSET_PATHS}")
-
     for img in calib_images:
         _check_image(g, img.shape)
+    groups = _scale_groups(g)
 
-    # One float pass per image, as many at once as there are CPUs, and the
-    # CPUs left over split each pass's conv rows into bands: each pass does
-    # exactly the arithmetic of a sequential one-band pass, and its maxima are
-    # folded in image order, so the statistics do not depend on either count.
-    # A lone worker runs the passes in turn on the calling thread.
     cpus = len(os.sched_getaffinity(0))
     workers = min(len(calib_images), cpus)
+    per_image: list[dict[str, float]] = [{} for _ in calib_images]
 
-    def calib_pass(img: FloatTensor) -> dict[str, float]:
-        own: dict[str, float] = {}
-        run_inference_float(g, img, stats=own, bands=cpus // workers)
-        return own
+    def calib_passes(a: int, b: int) -> None:
+        for k in range(a, b):
+            run_inference_float(g, calib_images[k], stats=per_image[k], bands=cpus // workers)
 
-    if workers == 1:
-        per_image = [calib_pass(img) for img in calib_images]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            per_image = list(pool.map(calib_pass, calib_images))
-    stats: dict[str, float] = {}
-    for own in per_image:
-        for name, t in own.items():
-            stats[name] = max(stats.get(name, 0.0), t)
+    ops._in_bands(len(calib_images), workers, calib_passes)
+    stats = {name: max(0.0, *(own[name] for own in per_image)) for name in per_image[0]}
 
-    groups = _union_find_groups(g)
     group_t: dict[str, float] = {}
     for n in g.nodes:
-        if not n.is_conv:
-            continue
-        t = stats.get(n.name, 0.0) or 1.0
-        rep = groups[n.name]
-        group_t[rep] = max(group_t.get(rep, 0.0), t)
-
-    in_qp = calibrate(calib_images, bits=8, percentile=percentile)
-    input_delta = float(in_qp.delta[0])
+        if n.is_conv:
+            r = groups[n.name]
+            group_t[r] = max(group_t.get(r, 0.0), stats[n.name] or 1.0)
+    input_delta = float(calibrate(calib_images, bits=8, percentile=percentile).delta[0])
+    delta = {v: input_delta if r == groups["input"] else group_t[r] / 127.0 for v, r in groups.items()}
 
     def quantize_weights(w: np.ndarray) -> QuantTensor:
         w_qp = calibrate([w], bits=4, granularity=PER_CHANNEL, percentile=percentile)
         return quantize(FloatTensor(Shape4(*w.shape), w), w_qp)
 
-    # Propagate the activation delta along the dataflow.
-    deltas: dict[str, float] = {"input": input_delta}
-    new_nodes: list[LayerNode] = []
-    for n in g.nodes:
-        nn = replace(n)
-        if n.is_conv:
-            nn.w_q = quantize_weights(n.w_fp)
-            in_delta = deltas[n.inputs[0]]
-            out_delta = group_t[groups[n.name]] / 127.0
-            nn.rp = derive_requant(in_delta, nn.w_q.qparams.delta, out_delta, n.b_fp, relu=n.relu)
-            if n.deformable:
-                nn.off_w_q = quantize_weights(n.off_w_fp)
-                off_t = stats.get(n.name + "/off", 0.0) or float(n.offset_hi)
-                nn.off_rp = derive_requant(in_delta, nn.off_w_q.qparams.delta, off_t / 127.0, n.off_b_fp)
-                nn.offset_path = offset_path
-            for out in n.output_names:
-                deltas[out] = out_delta
-        else:
-            d0 = deltas[n.inputs[0]]
-            if not all(np.isclose(deltas[i], d0, rtol=1e-9) for i in n.inputs[1:]):
-                raise GraphError(f"node '{n.name}': {n.kind} inputs carry different scales")
-            for out in n.output_names:
-                deltas[out] = d0
-        new_nodes.append(nn)
-
-    return NetworkGraph(new_nodes, config=g.config, resolution=g.resolution,
-                        width_mult=g.width_mult, downsample=g.downsample, classes=g.classes,
-                        precision="w4a8", input_delta=input_delta)
+    nodes = [replace(n) for n in g.nodes]
+    for n in nodes:
+        if not n.is_conv:
+            continue
+        n.w_q = quantize_weights(n.w_fp)
+        n.rp = derive_requant(delta[n.inputs[0]], n.w_q.qparams.delta, delta[n.name], n.b_fp, relu=n.relu)
+        if n.deformable:
+            n.off_w_q = quantize_weights(n.off_w_fp)
+            off_t = stats[n.name + "/off"] or float(n.offset_hi)
+            n.off_rp = derive_requant(delta[n.inputs[0]], n.off_w_q.qparams.delta, off_t / 127.0, n.off_b_fp)
+            n.offset_path = offset_path
+    return replace(g, nodes=nodes, precision="w4a8", input_delta=input_delta)

@@ -173,28 +173,35 @@ def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> 
 # Float reference path
 # ---------------------------------------------------------------------------
 
-# Row bands of the float reference kernels. Every output element is computed
-# by the same numpy operations in the same order whatever the banding, so the
-# band count changes only how many CPUs share a kernel call; einsum and the
-# ufuncs release the GIL, so threads suffice. A band calls only numpy and
-# private helpers, never a public function of this package.
+# The one thread pool: row bands of the float reference kernels, and the
+# calibration passes of graph.quantize_graph, whose bands nest in it. Every
+# output element is computed by the same numpy operations in the same order
+# whatever the banding, so the band count changes only how many CPUs share a
+# kernel call; einsum and the ufuncs release the GIL, so threads suffice. A
+# conv band calls only numpy and private helpers, never a public function.
 _BAND_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
 
 
 def _in_bands(rows: int, bands: int, fn: Callable[[int, int], None]) -> None:
     """Call ``fn(a, b)`` once per contiguous slab [a, b) of ``bands`` slabs
-    covering range(rows): slab 0 on the calling thread, the others on the band
-    pool. Slabs are empty when ``bands`` > ``rows``; one band calls inline."""
-    if bands <= 1:
-        fn(0, rows)
-        return
-    edges = [rows * k // bands for k in range(bands + 1)]
+    covering range(rows): slab 0 on the calling thread, then each slab that no
+    pool thread has started, while it waits for the running ones. So no thread
+    waits on a queued slab, and slabs may nest on a saturated pool. Slabs are
+    empty when ``bands`` > ``rows``. Every slab has run when this returns or
+    raises the first failing slab's error."""
+    edges = [rows * k // bands for k in range(max(bands, 1) + 1)]
     rest = [_BAND_POOL.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-    try:
-        fn(edges[0], edges[1])
-    finally:
-        for f in rest:  # every slab is written before the caller reads acc
-            f.result()
+    errors = []
+    for k, f in enumerate([None, *rest]):
+        try:
+            if f is None or f.cancel():
+                fn(edges[k], edges[k + 1])
+            else:
+                f.result()
+        except BaseException as e:
+            errors.append(e)
+    if errors:
+        raise errors[0]
 
 
 def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type, bands: int = 1,

@@ -45,8 +45,7 @@ def make_tiny_graph(seed: int = 0, resolution: int = 16, channels: int = 8,
     for name, oc in (("head_y", classes), ("head_s", 2), ("head_o", 2)):
         nodes.append(LayerNode(name, "conv1x1", ("dw",), ic=c, oc=oc, relu=False,
                                w_fp=_he(rng, (c, 1, 1, oc), c), b_fp=np.zeros(oc, dtype=np.float32)))
-    g = NetworkGraph(nodes, config="a", resolution=resolution, width_mult=1,
-                     downsample="stride4", classes=classes)
+    g = NetworkGraph(nodes, config="a", resolution=resolution)
     g.lint()
     return g
 

@@ -9,7 +9,7 @@ from codenet.container import (Chunk, CHUNK_DESCRIPTOR, ContainerError, DTYPE_F3
                                parse_tensor, read_container, read_image, save_graph,
                                tensor_chunk, unpack_i4, write_container, write_image)
 from codenet.graph import quantize_graph, run_inference
-from codenet.quant import QuantParams, quantize
+from codenet.quant import QuantParams, RequantParams, quantize
 from codenet.tensor import QuantTensor, Shape4
 
 from conftest import make_calib_images, make_tiny_graph
@@ -303,3 +303,60 @@ class TestMalformedContainers:
             err = capsys.readouterr().err
             assert err.startswith("error:") and name in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("precision,node,field", [
+        ("fp32", "pw", "b_fp"),
+        ("fp32", "dw", "off_b_fp"),
+        ("w4a8", "pw", "rp"),
+        ("w4a8", "dw", "off_rp"),
+    ])
+    def test_short_bias_or_requant_vectors_exit_1(self, tmp_path, capsys, precision, node, field):
+        """A bias or requant vector with one entry for a node of more channels
+        saves (save_graph does not lint) but fails to load instead of being
+        broadcast, so quantize (fp32) and infer (w4a8) exit 1 naming the node."""
+        g = make_tiny_graph(seed=20, deform=True)
+        if precision == "w4a8":
+            g = quantize_graph(g, make_calib_images(16))
+        n = g.node(node)
+        v = getattr(n, field)
+        setattr(n, field, v[:1] if precision == "fp32" else
+                RequantParams(v.multiplier[:1], v.shift[:1], v.bias[:1], v.out_delta, v.relu))
+        bad = str(tmp_path / "bad.cdnt")
+        save_graph(bad, g)
+        with pytest.raises(ContainerError, match=f"node '{node}'"):
+            load_graph(bad)
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        image = str(calib / "0.img")
+        write_image(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        out = tmp_path / "out.cdnt"
+        argv = ["quantize", bad, str(out), "--calib", str(calib)] if precision == "fp32" else ["infer", bad, image]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"node '{node}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestDescriptorCompatibility:
+    @pytest.mark.parametrize("precision", ["fp32", "w4a8"])
+    def test_old_descriptor_lines_are_ignored(self, tmp_path, precision):
+        """Descriptors once stated classes, width_mult and downsample, which
+        the nodes say or nothing reads; a container that still carries them
+        loads to the same nodes and parameters."""
+        g = make_tiny_graph(seed=21, deform=True, classes=3)
+        if precision == "w4a8":
+            g = quantize_graph(g, make_calib_images(16))
+        new, old, resaved = (str(tmp_path / f"{k}.cdnt") for k in ("new", "old", "resaved"))
+        save_graph(new, g)
+        chunks = read_container(new)
+        text = chunks[0].payload.decode()
+        assert "classes" not in text and "width_mult" not in text and "downsample" not in text
+        text = text.replace("\nresolution 16\n",
+                            "\nclasses 3\nresolution 16\nwidth_mult 1\ndownsample stride4\n")
+        chunks[0] = Chunk(CHUNK_DESCRIPTOR, "graph", text.encode())
+        write_container(old, chunks)
+        loaded = load_graph(old)
+        assert loaded.classes == 3
+        save_graph(resaved, loaded)
+        with open(new, "rb") as a, open(resaved, "rb") as b:
+            assert a.read() == b.read()

@@ -29,14 +29,16 @@ class TestBuild:
         g = build_codenet("a")
         assert g.resolution == 256
         assert g.node("stem").stride == 4
-        assert g.downsample == "stride4"
+        assert not any(n.kind == "maxpool2x2" for n in g.nodes)
+        assert g.node("stem").oc == 24
 
     def test_config_e_stride2_maxpool_2x(self):
         g = build_codenet("e")
         assert g.resolution == 512
         assert g.node("stem").stride == 2
-        assert any(n.kind == "maxpool2x2" for n in g.nodes)
-        assert g.width_mult == 2
+        assert g.node("stem_pool").kind == "maxpool2x2"
+        assert g.node("stem_pool").inputs == ("stem",)
+        assert g.node("stem").oc == 48
 
     def test_three_upsample_blocks(self):
         for cfg in "abcde":
@@ -142,11 +144,11 @@ class TestBuild:
         with pytest.raises(GraphError, match="head 'head_s' .* that no node reads"):
             g.lint()
 
-    def test_linter_rejects_heatmap_channels_other_than_classes(self):
+    def test_classes_are_the_heatmap_channels(self):
+        assert build_codenet("a", classes=7).classes == 7
         g = make_tiny_graph(classes=3)
-        g.classes = 4
-        with pytest.raises(GraphError, match="head 'head_y' must be a conv node with 4 output channels"):
-            g.lint()
+        assert g.classes == g.node("head_y").oc == 3
+        assert quantize_graph(g, make_calib_images(16)).classes == 3
 
     def test_linter_rejects_size_channels_other_than_2(self):
         g = make_tiny_graph()
@@ -406,28 +408,48 @@ class TestCalibration:
         for k in (2, 3):
             assert param_digest(quantize_graph(g, make_calib_images(16, count=k, seed=21))) == self.RECORDED[k]
 
+    def test_image_slabs_with_nested_bands_give_the_recorded_parameters(self):
+        # the child reports four CPUs, so its band pool has four threads and
+        # two images take two bands each in the same pool, whatever the host
+        script = ("import os; os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+                  "from conftest import make_calib_images, make_tiny_graph, param_digest\n"
+                  "from codenet.graph import quantize_graph\n"
+                  "g = make_tiny_graph(seed=3, deform=True)\n"
+                  "for k in (2, 3):\n"
+                  "    print(param_digest(quantize_graph(g, make_calib_images(16, count=k, seed=21))))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == [self.RECORDED[2], self.RECORDED[3]]
+
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_passes_share_the_cpus_between_images_and_bands(self, monkeypatch, count):
         calls = []
         real = G.run_inference_float
+        images = make_calib_images(16, count=count)
 
         def run(g, image, stats=None, **kw):
-            calls.append((threading.get_ident(), kw["bands"]))
+            calls.append((threading.get_ident(), kw["bands"], image))
             return real(g, image, stats=stats, **kw)
 
         monkeypatch.setattr(G, "run_inference_float", run)
-        quantize_graph(make_tiny_graph(seed=3, deform=True), make_calib_images(16, count=count))
+        quantize_graph(make_tiny_graph(seed=3, deform=True), images)
         cpus = len(os.sched_getaffinity(0))
         workers = min(count, cpus)
         assert len(calls) == count
-        assert {b for _, b in calls} == {cpus // workers}
-        if workers == 1:  # a lone worker is the calling thread
-            assert {t for t, _ in calls} == {threading.get_ident()}
+        assert {b for _, b, _ in calls} == {cpus // workers}
+        # image 0's pass, and every pass of a lone worker, runs on the calling thread
+        assert [t for t, _, image in calls if image is images[0]] == [threading.get_ident()]
+        if workers == 1:
+            assert {t for t, _, _ in calls} == {threading.get_ident()}
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_band_workers_enter_no_public_function(self, monkeypatch, count):
         # the traced benchmark wraps these functions with one span stack for
-        # all threads, so only threads that run passes may enter them
+        # all threads: a thread that enters one runs a calibration pass there
+        # (the calling thread, or a pool thread that takes a slab of images),
+        # while the conv bands that pool threads also take enter none of them
         entered: dict[str, set[int]] = {}
 
         def spy(owner, name):
@@ -462,6 +484,33 @@ class TestCalibration:
         with pytest.raises(RuntimeError) as caught:
             quantize_graph(make_tiny_graph(), images)
         assert caught.value is err
+
+    def test_scale_groups_join_each_pass_through_node(self):
+        g = build_codenet("b")  # has every pass-through kind
+        groups = G._scale_groups(g)
+        assert set(groups) == {"input", *(v for n in g.nodes for v in n.output_names)}
+        for n in g.nodes:
+            if not n.is_conv:
+                assert len({groups[v] for v in (*n.inputs, *n.output_names)}) == 1
+        assert groups["s2d_b1pw"] == groups["s2d_b2pw2"] != groups["s2d_b2pw1"]
+        assert groups["input"] not in {groups[n.name] for n in g.nodes if n.is_conv}
+
+    def test_input_and_a_conv_output_cannot_share_a_scale(self):
+        # the image's delta and the stem's come from different maxima, so a
+        # graph that concatenates them lints but does not quantize
+        rng = np.random.default_rng(0)
+        c = 4
+        nodes = [LayerNode("stem", "full3x3_first", ("input",), ic=3, oc=c, relu=True,
+                           w_fp=rng.standard_normal((3, 3, 3, c)).astype(np.float32),
+                           b_fp=np.zeros(c, np.float32)),
+                 LayerNode("cat", "concat", ("input", "stem"))]
+        nodes += [LayerNode(h, "conv1x1", ("cat",), ic=3 + c, oc=2,
+                            w_fp=rng.standard_normal((3 + c, 1, 1, 2)).astype(np.float32),
+                            b_fp=np.zeros(2, np.float32)) for h in G.HEADS]
+        g = G.NetworkGraph(nodes, config="a", resolution=16)
+        g.lint()
+        with pytest.raises(GraphError, match="^node 'cat': concat inputs carry different scales$"):
+            quantize_graph(g, make_calib_images(16))
 
     def test_float_pass_frees_dead_values(self):
         g = build_codenet("a")
@@ -557,8 +606,7 @@ class TestPassThrough:
         srcs = [LayerNode(f"src{k}", "full3x3_first", ("input",), ic=3, oc=c, stride=r // h)
                 for k, (h, _, c) in enumerate(ins)]
         node = LayerNode("n", kind, tuple(n.name for n in srcs))
-        g = G.NetworkGraph([*srcs, node], config="a", resolution=r, width_mult=1,
-                           downsample="stride4", classes=2)
+        g = G.NetworkGraph([*srcs, node], config="a", resolution=r)
         shapes = G._out_shapes(g)
         outs = out if isinstance(out, tuple) else (out,)
         assert [shapes[v] for v in node.output_names] == [o.shape[1:] for o in outs]
@@ -579,7 +627,7 @@ class TestPassThrough:
         srcs = [LayerNode(f"src{k}", "full3x3_first", ("input",), ic=3, oc=c, stride=r // h)
                 for k, (h, _, c) in enumerate(ins)]
         g = G.NetworkGraph([*srcs, LayerNode("bad", kind, tuple(n.name for n in srcs))], config="a",
-                           resolution=r, width_mult=1, downsample="stride4", classes=2)
+                           resolution=r)
         with pytest.raises(GraphError) as lint_error:
             g.lint()
         assert str(lint_error.value) == f"node 'bad': {op_error.value}"

@@ -192,6 +192,26 @@ class TestRowBands:
             ops._in_bands(6, 3, band)
         assert sorted(done) == [2, 4]
 
+    def test_nested_slabs_finish_on_a_saturated_pool(self):
+        # more outer slabs than pool threads, each banding again: a thread that
+        # waited on a queued inner slab would hang, so the child has a timeout;
+        # a short switch interval races the pool threads against cancel()
+        script = ("import os, sys, time\n"
+                  "from codenet import ops\n"
+                  "sys.setswitchinterval(1e-5)\n"
+                  "outer = 2 * len(os.sched_getaffinity(0)) + 1  # the pool has one thread per CPU\n"
+                  "seen = []\n"
+                  "def inner(a, b):\n"
+                  "    time.sleep(0.01)\n"
+                  "    seen.append((a, b))\n"
+                  "ops._in_bands(outer, outer, lambda a, b: ops._in_bands(4, 2, inner))\n"
+                  "print(len(seen) == 2 * outer, sorted(set(seen)))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "True [(0, 2), (2, 4)]"
+
     @pytest.mark.parametrize("bands", BANDS)
     @pytest.mark.parametrize("depthwise,stride", [(True, 1), (True, 2), (False, 1), (False, 2)])
     def test_conv_ref(self, depthwise, stride, bands):
