@@ -28,21 +28,18 @@ when every touched line fits the cache without an eviction.
 A replay is one sequential loop, because all sets share one LFSR, but the
 replays of one ablation grid do not depend on each other. So when the map
 overflows the LLC (h * w * ic > 1 MiB) and more than one CPU is available,
-ablation_table forks one worker per LLC row that replays (the deform rows),
-at most one per CPU, before it prices any row. A worker rebuilds its case,
-replays the stream and sends back its three counts; _cache_cost takes them
-from the worker whose stream matches its own (LFSR seed, request bytes and a
-digest of the addresses), and replays inline otherwise. The workers use the
-fork start method, so a caller script needs no main guard, and every worker
-is stopped and joined before ablation_table returns or raises. Every count
-is the same on any number of CPUs.
+ablation_table replays the LLC rows that replay (the deform rows) on a pool
+of forked workers, one per row and at most one per CPU, while it prices the
+rows in order; fork, so that a caller script needs no main guard. _cache_cost
+takes the counts of the replay whose stream matches its own (LFSR seed,
+request bytes and a digest of the addresses), and replays inline otherwise.
+Every count is the same on any number of CPUs.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,71 +300,32 @@ def _stream_key(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, by
     return seed, nbytes, hashlib.sha256(np.ascontiguousarray(addrs, dtype=np.int64)).digest()
 
 
-class _Replay:
-    """A forked worker that replays the LLC stream of one ablation operation.
-
-    It sends two messages: the _stream_key of its stream once the case is
-    built, then the replayed (hits, misses, missed requests).
-    """
-
-    def __init__(self, operation: str, dims: tuple[int, int, int, int], seed: int) -> None:
-        import multiprocessing  # loaded only by a grid that forks
-        ctx = multiprocessing.get_context("fork")
-        self.operation = operation
-        self.key: tuple | None = None
-        self.conn, child = ctx.Pipe(duplex=False)
-        self.proc = ctx.Process(target=_replay_worker, args=(operation, dims, seed, child), daemon=True)
-        self.proc.start()
-        child.close()
-
-    def recv(self):
-        try:
-            ok, value = self.conn.recv()
-        except EOFError:
-            self.proc.join()
-            raise RuntimeError(f"the LLC replay worker of {self.operation} exited with code "
-                               f"{self.proc.exitcode} and sent no result") from None
-        if not ok:
-            raise RuntimeError(f"the LLC replay worker of {self.operation} failed:\n{value}")
-        return value
-
-    def stop(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join()
-        self.conn.close()
+def _replay(operation: str, dims: tuple[int, int, int, int], seed: int) -> tuple[tuple, tuple[int, int, int]]:
+    """The _stream_key and the replayed counts of one ablation operation's LLC
+    stream, as a pool worker computes them."""
+    trace, mems = ablation_case(operation, dims, seed)
+    addrs, nbytes, llc_seed = trace.in_addr, trace.in_bytes, mems[1].llc_seed
+    return (_stream_key(addrs, nbytes, llc_seed),
+            _lfsr_counts(addrs // LLC_LINE, (addrs + nbytes - 1) // LLC_LINE, llc_seed))
 
 
-def _replay_worker(operation: str, dims: tuple[int, int, int, int], seed: int, conn) -> None:
-    try:
-        trace, mems = ablation_case(operation, dims, seed)
-        addrs, nbytes, llc_seed = trace.in_addr, trace.in_bytes, mems[1].llc_seed
-        conn.send((True, _stream_key(addrs, nbytes, llc_seed)))
-        conn.send((True, _lfsr_counts(addrs // LLC_LINE, (addrs + nbytes - 1) // LLC_LINE, llc_seed)))
-    except Exception:
-        conn.send((False, traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-# The workers of the running ablation_table. They are found here rather than
-# passed down because simulate and _cache_cost keep their signatures: callers
-# wrap both by name.
-_REPLAYS: list[_Replay] = []
+# The futures of the running ablation_table's replays, in the order it prices
+# its rows. They are found here rather than passed down because simulate and
+# _cache_cost keep their signatures: callers wrap both by name.
+_REPLAYS: list = []
 
 
 def _replayed(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, int] | None:
-    """The counts of this stream from the worker that replayed it, or None
-    when no worker did."""
+    """The counts of this stream from the replay that matches it, or None
+    when no replay does."""
     if not _REPLAYS:
         return None
     key = _stream_key(addrs, nbytes, seed)
-    for worker in _REPLAYS:
-        if worker.key is None:
-            worker.key = worker.recv()
-        if worker.key == key:
-            _REPLAYS.remove(worker)
-            return worker.recv()
+    for future in _REPLAYS:
+        replay_key, counts = future.result()
+        if replay_key == key:
+            _REPLAYS.remove(future)
+            return counts
     return None
 
 
@@ -556,7 +514,7 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
 
 
 def _replay_operations(dims: tuple[int, int, int, int]) -> list[str]:
-    """The operations whose LLC rows ablation_table replays in workers: none
+    """The operations whose LLC rows ablation_table replays on its pool: none
     when the map fits the LLC (every stream then has a closed form) or only
     one CPU is available, else those served by the ``llc`` design, at most
     one per CPU."""
@@ -572,16 +530,19 @@ def _replay_operations(dims: tuple[int, int, int, int]) -> list[str]:
 def ablation_table(dims: tuple[int, int, int, int], seed: int) -> list[AblationRow]:
     """Full ablation grid: 4 operations x {full, depthwise} x {no-LLC, LLC}.
 
-    Replays of the LLC rows run in forked workers (see the module docstring);
+    Replays of the LLC rows run on a process pool (see the module docstring);
     the rows are priced here, in order, with the same counts on any number
-    of CPUs.
+    of CPUs. A worker's exception reaches the caller as itself, a dead worker
+    raises BrokenProcessPool, and no worker outlives the call.
     """
+    operations = _replay_operations(dims)
+    if operations:
+        import multiprocessing  # loaded only by a grid that replays in workers
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(len(operations), mp_context=multiprocessing.get_context("fork"))
     rows: list[AblationRow] = []
-    workers: list[_Replay] = []
     try:
-        for operation in _replay_operations(dims):
-            workers.append(_Replay(operation, dims, seed))
-        _REPLAYS[:] = workers
+        _REPLAYS[:] = [pool.submit(_replay, op, dims, seed) for op in operations]
         for half in _HALVES:
             for op in _OPERATIONS:
                 trace, mems = ablation_case(f"{half}_{op}", dims, seed)
@@ -589,8 +550,8 @@ def ablation_table(dims: tuple[int, int, int, int], seed: int) -> list[AblationR
                     rows.append(AblationRow(f"{half}_{op}", mem.design, bool(llc), simulate(trace, mem)))
     finally:
         _REPLAYS.clear()
-        for worker in workers:
-            worker.stop()
+        if operations:
+            pool.shutdown(cancel_futures=True)
     return rows
 
 

@@ -49,8 +49,8 @@ class QuantParams:
         if self.granularity not in (PER_LAYER, PER_CHANNEL):
             raise ValueError(f"unknown granularity {self.granularity!r}")
         t = np.atleast_1d(np.asarray(self.t, dtype=np.float64))
-        if np.any(t <= 0):
-            raise ValueError("thresholds must be positive")
+        if not np.all((t > 0) & (t < np.inf)):
+            raise ValueError("thresholds must be positive and finite")
         if self.granularity == PER_LAYER and t.size != 1:
             raise ValueError("per-layer params take a single threshold")
         object.__setattr__(self, "t", t)
@@ -103,7 +103,8 @@ def calibrate(
 
     Default policy is the max absolute value per group; ``percentile`` (e.g.
     99.9) switches to percentile clipping of the absolute values. Groups that
-    never see a nonzero value fall back to t = 1 so the step stays positive.
+    never see a nonzero value fall back to t = 1 so the step stays positive;
+    a non-finite threshold raises.
     """
     arrays = [s.data if isinstance(s, FloatTensor) else np.asarray(s) for s in samples]
     if not arrays:
@@ -121,7 +122,7 @@ def calibrate(
     else:
         flat = np.abs(np.concatenate([a.reshape(-1).astype(np.float64) for a in arrays]))
         t = np.atleast_1d(flat.max() if percentile is None else np.percentile(flat, percentile))
-    t = np.where(t > 0, t, 1.0)
+    t = np.where(t == 0, 1.0, t)
     return QuantParams(bits, granularity, t)
 
 
@@ -158,8 +159,8 @@ class RequantParams:
         for name, arr in (("multiplier", m), ("shift", s), ("bias", b)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.out_delta <= 0:
-            raise ValueError("out_delta must be positive")
+        if not 0 < self.out_delta < np.inf:
+            raise ValueError(f"out_delta {self.out_delta!r} is not positive and finite")
 
     @property
     def num_channels(self) -> int:

@@ -107,7 +107,7 @@ class TestBench:
         ("--op", "dw_bogus"),
         ("--op", "dw_square", "--dims", "0,64,256,256"),
         ("--op", "dw_deform", "--seed", "-1"),
-        # these two overflow the LLC, so the grid forks its replay workers
+        # these two overflow the LLC, so the grid starts its replay pool
         # before the bad seed or dims fail
         ("--table2", "--dims", "128,128,256,256", "--seed", "-1"),
         ("--table2", "--dims=-128,-128,256,256"),

@@ -336,6 +336,46 @@ class TestMalformedContainers:
         assert err.startswith("error:") and f"node '{node}'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("precision,node,field,value", [
+        ("fp32", "stem", "w_fp", np.nan),
+        ("fp32", "pw", "b_fp", np.inf),
+        ("fp32", "dw", "off_w_fp", -np.inf),
+        ("fp32", "dw", "off_b_fp", np.nan),
+        ("w4a8", "pw", "rp", np.nan),
+        ("w4a8", "dw", "off_rp", np.inf),
+        ("w4a8", "pw", "w_q", np.nan),
+        ("w4a8", "dw", "off_w_q", np.inf),
+    ])
+    def test_nonfinite_parameters_exit_1(self, tmp_path, capsys, precision, node, field, value):
+        """A nan or infinite fp32 weight or bias, requant out_delta or weight
+        threshold saves (save_graph does not lint) but fails to load, so
+        quantize (fp32) and infer (w4a8) exit 1 naming the node."""
+        g = make_tiny_graph(seed=22, deform=True)
+        if precision == "w4a8":
+            g = quantize_graph(g, make_calib_images(16))
+        n = g.node(node)
+        if precision == "fp32":
+            getattr(n, field).flat[0] = value
+        elif field.endswith("rp"):
+            object.__setattr__(getattr(n, field), "out_delta", value)
+        else:
+            qp = getattr(n, field).qparams
+            object.__setattr__(qp, "t", np.where(np.arange(qp.t.size) == 0, value, qp.t))
+        bad = str(tmp_path / "bad.cdnt")
+        save_graph(bad, g)
+        with pytest.raises(ContainerError, match=f"node '{node}'.*finite"):
+            load_graph(bad)
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        image = str(calib / "0.img")
+        write_image(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        out = tmp_path / "out.cdnt"
+        argv = ["quantize", bad, str(out), "--calib", str(calib)] if precision == "fp32" else ["infer", bad, image]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"node '{node}'" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDescriptorCompatibility:
     @pytest.mark.parametrize("precision", ["fp32", "w4a8"])

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -346,8 +349,8 @@ MAP4X = (128, 128, 256, 256)  # 4 MiB of input: the deform rows overflow the LLC
 
 
 class TestReplayWorkers:
-    """ablation_table replays the LLC rows of an overflowing map in forked
-    workers; every row must equal the one-CPU run, and no worker may outlive
+    """ablation_table replays the LLC rows of an overflowing map on a process
+    pool; every row must equal the one-CPU run, and no worker may outlive
     the call."""
 
     @pytest.fixture
@@ -390,15 +393,43 @@ class TestReplayWorkers:
             raise ZeroDivisionError("replay lost")
         cpus(2)
         monkeypatch.setattr(memsim, "_lfsr_counts", broken)
-        with pytest.raises(RuntimeError, match="worker of full_deform failed") as caught:
+        with pytest.raises(ZeroDivisionError, match="^replay lost$") as caught:
             ablation_table(MAP4X, 1)
-        assert "in broken\n" in str(caught.value)  # the worker's traceback
-        assert str(caught.value).endswith("ZeroDivisionError: replay lost\n")
+        assert "in broken\n" in str(caught.value.__cause__)  # the worker's traceback
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_in_the_caller(self, cpus, monkeypatch):
         cpus(2)
         monkeypatch.setattr(memsim, "_lfsr_counts", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="worker of full_deform exited with code 3"):
+        with pytest.raises(BrokenProcessPool):
             ablation_table(MAP4X, 1)
         assert multiprocessing.active_children() == []
+
+    def test_parent_error_waits_for_the_running_replays(self, cpus, monkeypatch):
+        # the first row raises just after both replays start (each takes
+        # about 0.45 s); the error must reach the caller only after both
+        # workers have finished and exited
+        running = []
+
+        def broken(trace, mem):
+            running.extend(memsim._REPLAYS)
+            raise RuntimeError("pricing failed")
+        cpus(2)
+        monkeypatch.setattr(memsim, "simulate", broken)
+        with pytest.raises(RuntimeError, match="pricing failed"):
+            ablation_table(MAP4X, 1)
+        assert len(running) == 2 and all(future.done() for future in running)
+        assert multiprocessing.active_children() == []
+
+    def test_paper_grid_imports_no_process_pool(self):
+        # a grid whose map fits the LLC replays nothing, so it need not load
+        # the process machinery at all
+        script = ("import sys\n"
+                  "from codenet.memsim import ablation_table\n"
+                  "ablation_table((64, 64, 256, 256), 1)\n"
+                  "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "[]\n"

@@ -44,6 +44,12 @@ class TestClamp:
         with pytest.raises(ValueError):
             _qp(8, 0.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [1.0, np.nan]], ids=["nan", "inf", "channel_nan"])
+    def test_nonfinite_threshold_rejected(self, t):
+        granularity = PER_CHANNEL if np.ndim(t) else PER_LAYER
+        with pytest.raises(ValueError, match="positive and finite"):
+            _qp(8, t, granularity)
+
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):
@@ -111,6 +117,13 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate([], bits=8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("granularity", [PER_LAYER, PER_CHANNEL])
+    def test_nonfinite_sample_raises(self, bad, granularity):
+        # a nan maximum must not fall back to t = 1 as an all-zero group does
+        with pytest.raises(ValueError, match="positive and finite"):
+            calibrate([_ft([1.0, bad], shape=(1, 1, 1, 2))], bits=4, granularity=granularity)
+
 
 class TestDeriveRequant:
     def test_power_of_two_factor(self):
@@ -138,6 +151,11 @@ class TestDeriveRequant:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             derive_requant(0.0, [1.0], 1.0)
+
+    @pytest.mark.parametrize("out_delta", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_out_delta_rejected(self, out_delta):
+        with pytest.raises(ValueError, match="out_delta .* is not positive and finite"):
+            RequantParams([1 << 30], [31], [0], out_delta=out_delta)
 
     def test_matches_scalar_oracle(self):
         # log-uniform factors inside the normalizable range, plus the edges:
