@@ -323,8 +323,7 @@ def load_graph(path: str) -> NetworkGraph:
                         n.offset_weight_shape).astype(np.float32)
                     n.off_b_fp = parse_tensor(chunk(CHUNK_TENSOR, n.name + "/off_b")).reshape(
                         n.offset_weight_shape[-1]).astype(np.float32)
-                if not all(np.isfinite(a).all() for a in (n.w_fp, n.b_fp, n.off_w_fp, n.off_b_fp) if a is not None):
-                    raise ValueError("fp32 weights and biases must be finite")
+                n.check_finite()
             else:
                 wq, n.rp = qparams(n.name, n.oc)
                 n.w_q = QuantTensor(Shape4(*w.shape), w, bits=4, qparams=wq)

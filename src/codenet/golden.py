@@ -18,7 +18,7 @@ from .container import (CHUNK_DESCRIPTOR, CHUNK_QPARAMS, CHUNK_TENSOR, Chunk,
                         DTYPE_I4, DTYPE_I8, DTYPE_I32, parse_qparams, parse_tensor,
                         qparams_chunk, read_container, tensor_chunk, write_container)
 from .quant import RequantParams
-from .tensor import AccumTensor, QuantTensor, Shape4
+from .tensor import AccumTensor, QuantTensor, Shape4, symmetric_bounds
 
 OPS = ("conv1x1", "dw3x3", "dw3x3_s2", "deform_bounded", "deform_square", "requantize")
 
@@ -91,8 +91,8 @@ def _random_rp(rng: np.random.Generator, oc: int, relu: bool = False) -> Requant
 
 
 def _random_codes(rng: np.random.Generator, shape: tuple[int, ...], bits: int) -> np.ndarray:
-    hi = 2 ** (bits - 1) - 1
-    return rng.integers(-hi, hi + 1, size=shape, dtype=np.int64).astype(np.int8)
+    lo, hi = symmetric_bounds(bits)
+    return rng.integers(lo, hi + 1, size=shape, dtype=np.int64).astype(np.int8)
 
 
 @dataclass

@@ -12,7 +12,6 @@ Nodes with two outputs (split) publish them as ``name#0`` and ``name#1``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
@@ -56,9 +55,9 @@ class OpKind:
     """What differs between operator kinds; everything else is derived.
 
     Conv kinds give ``run_q(node, inputs)``, the integer kernel call looked up
-    on ``ops`` at call time, ``run_f(node, inputs, record, bands)``, the float64
-    sums before bias and relu as a new array, in ``bands`` concurrent row
-    slabs, and ``kernel``, which fixes ConvSpec, weights and cost.
+    on ``ops`` at call time, ``run_f(node, inputs, record)``, the float64 sums
+    before bias and relu as a new array, and ``kernel``, which fixes ConvSpec,
+    weights and cost; the 3x3 kernels and float sums band rows in ``ops._in_bands``.
     A pass-through kind is the ``ops`` function of its name, called on arrays
     by both executors and, on empty ones, by the shape walk; it gives only
     ``arity``.
@@ -72,12 +71,12 @@ class OpKind:
     arity: int = 1
 
 
-def _float_conv1x1(x: np.ndarray, w: np.ndarray, bands: int) -> np.ndarray:
-    """Pointwise float64 sums, written in ``bands`` concurrent row slabs; an
-    einsum over a slab of rows equals those rows of the whole einsum."""
+def _float_conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise float64 sums, written in row bands; an einsum over a slab of
+    rows equals those rows of the whole einsum."""
     w = w[:, 0, 0, :].astype(np.float64)
     out = np.empty((*x.shape[:3], w.shape[1]), dtype=np.float64)
-    ops._in_bands(x.shape[1], bands, lambda a, b: np.einsum("nhwi,io->nhwo", x[:, a:b], w, out=out[:, a:b]))
+    ops._in_bands(x.shape[1], lambda a, b: np.einsum("nhwi,io->nhwo", x[:, a:b], w, out=out[:, a:b]))
     return out
 
 
@@ -85,8 +84,8 @@ def _float_tensors(x: np.ndarray, w: np.ndarray) -> tuple[FloatTensor, FloatTens
     return FloatTensor(Shape4(*x.shape), x), FloatTensor(Shape4(*w.shape), w)
 
 
-def _float_conv3x3(n: LayerNode, xs: list[np.ndarray], record: Callable, bands: int) -> np.ndarray:
-    return ops.conv_ref(*_float_tensors(xs[0], n.w_fp), n.spec, bands=bands).data.astype(np.float64)
+def _float_conv3x3(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarray:
+    return ops.conv_ref(*_float_tensors(xs[0], n.w_fp), n.spec).data.astype(np.float64)
 
 
 def _deform_q(n: LayerNode, xs: list[QuantTensor]) -> QuantTensor:
@@ -95,18 +94,18 @@ def _deform_q(n: LayerNode, xs: list[QuantTensor]) -> QuantTensor:
     return ops.deform_conv_q(xs[0], n.w_q, off, n.spec, n.rp)
 
 
-def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable, bands: int) -> np.ndarray:
+def _deform_f(n: LayerNode, xs: list[np.ndarray], record: Callable) -> np.ndarray:
     """Offsets are rounded and clipped exactly as in deployment."""
-    raw = record(n.name + "/off", _float_conv1x1(xs[0], n.off_w_fp, bands) + n.off_b_fp)
+    raw = record(n.name + "/off", _float_conv1x1(xs[0], n.off_w_fp) + n.off_b_fp)
     off = ops.round_clip_offsets(raw, n.offset_mode, n.offset_lo, n.offset_hi)
-    out = ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), off, n.spec, bands=bands)
+    out = ops.deform_conv_ref(*_float_tensors(xs[0], n.w_fp), off, n.spec)
     return out.data.astype(np.float64)
 
 
 KINDS: dict[str, OpKind] = {
     "conv1x1": OpKind(
         run_q=lambda n, xs: ops.conv1x1_q(xs[0], n.w_q, n.rp),
-        run_f=lambda n, xs, record, bands: _float_conv1x1(xs[0], n.w_fp, bands),
+        run_f=lambda n, xs, record: _float_conv1x1(xs[0], n.w_fp),
         kernel=1),
     "dw3x3": OpKind(
         run_q=lambda n, xs: ops.dw3x3_q(xs[0], n.w_q, n.spec, n.rp),
@@ -172,6 +171,11 @@ class LayerNode:
     @property
     def offset_weight_shape(self) -> tuple[int, int, int, int]:
         return (self.ic, 1, 1, ops.offset_channels(self.offset_mode))
+
+    def check_finite(self) -> None:
+        """fp32 weights and biases, offset ones included, must be finite."""
+        if not all(a is None or np.isfinite(a).all() for a in (self.w_fp, self.b_fp, self.off_w_fp, self.off_b_fp)):
+            raise ValueError("fp32 weights and biases must be finite")
 
     @property
     def output_names(self) -> tuple[str, ...]:
@@ -479,13 +483,8 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
     return FloatTensor(yq.shape, y), FloatTensor(sq.shape, s), FloatTensor(oq.shape, o)
 
 
-def run_inference_float(
-    g: NetworkGraph,
-    image: FloatTensor,
-    stats: dict[str, float] | None = None,
-    *,
-    bands: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def run_inference_float(g: NetworkGraph, image: FloatTensor,
+                        stats: dict[str, float] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float reference executor; mirrors the integer path op for op.
 
     Values are float64, except that 3x3 and deformable nodes pass their input
@@ -497,12 +496,10 @@ def run_inference_float(
     activation calibration).
 
     The nodes run one after another on the calling thread, a pool thread too;
-    each conv sums ``bands`` row slabs (default: one per CPU this process may
-    use) at once on the band pool. Every output element is computed the same
-    way for any band count, so the result does not depend on it.
+    each conv hands a row band to every idle thread of the band pool
+    (``ops._in_bands``), and every output element is computed the same way
+    however the rows are banded.
     """
-    if bands is None:
-        bands = len(os.sched_getaffinity(0))
 
     def record(name: str, arr: np.ndarray) -> np.ndarray:
         if stats is not None:
@@ -512,7 +509,7 @@ def run_inference_float(
     def run(n: LayerNode, xs: list[np.ndarray]):
         if not n.is_conv:
             return getattr(ops, n.kind)(*xs)
-        out = KINDS[n.kind].run_f(n, xs, record, bands)  # a new array, so add in place
+        out = KINDS[n.kind].run_f(n, xs, record)  # a new array, so add in place
         out += n.b_fp
         if n.relu:
             np.maximum(out, 0.0, out=out)
@@ -568,12 +565,12 @@ def quantize_graph(
     """Post-training quantization: 4-bit per-channel weights, 8-bit per-layer
     activations, fixed-point requantization parameters per conv.
 
-    One float pass per image runs through ``ops._in_bands``, as many at once as
-    there are CPUs (image 0 on the calling thread), and the CPUs left over split
-    each pass's conv rows into bands; each pass does the arithmetic of a one-band
-    pass and the maxima are folded in image order, so neither count changes the
-    result. A value's delta is the input's, or its scale group's largest conv
-    maximum over 127."""
+    The float passes run as image slabs through ``ops._in_bands`` (image 0 on
+    the calling thread) and band their conv rows on idle pool threads; each
+    pass does the arithmetic of an unbanded pass and the maxima are folded in
+    image order, so banding does not change the result. Every fp32 parameter
+    must be finite. A value's delta is the input's, or its scale group's
+    largest conv maximum over 127."""
     if g.precision != "fp32":
         raise GraphError(f"graph is {g.precision}, not fp32")
     if not calib_images:
@@ -582,17 +579,20 @@ def quantize_graph(
         raise GraphError(f"unknown offset path {offset_path!r}; expected one of {ops.OFFSET_PATHS}")
     for img in calib_images:
         _check_image(g, img.shape)
+    for n in g.nodes:
+        try:
+            n.check_finite()
+        except ValueError as e:
+            raise GraphError(f"node '{n.name}': {e}") from e
     groups = _scale_groups(g)
 
-    cpus = len(os.sched_getaffinity(0))
-    workers = min(len(calib_images), cpus)
     per_image: list[dict[str, float]] = [{} for _ in calib_images]
 
     def calib_passes(a: int, b: int) -> None:
         for k in range(a, b):
-            run_inference_float(g, calib_images[k], stats=per_image[k], bands=cpus // workers)
+            run_inference_float(g, calib_images[k], stats=per_image[k])
 
-    ops._in_bands(len(calib_images), workers, calib_passes)
+    ops._in_bands(len(calib_images), calib_passes)
     stats = {name: max(0.0, *(own[name] for own in per_image)) for name in per_image[0]}
 
     group_t: dict[str, float] = {}

@@ -22,8 +22,10 @@ codes; out-of-bounds samples read as zero in both the float and integer paths.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -173,44 +175,49 @@ def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> 
 # Float reference path
 # ---------------------------------------------------------------------------
 
-# The one thread pool: row bands of the float reference kernels, and the
-# calibration passes of graph.quantize_graph, whose bands nest in it. Every
-# output element is computed by the same numpy operations in the same order
-# whatever the banding, so the band count changes only how many CPUs share a
-# kernel call; einsum and the ufuncs release the GIL, so threads suffice. A
-# conv band calls only numpy and private helpers, never a public function.
-_BAND_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+# The one thread pool: row bands of every 3x3 kernel and the pointwise float
+# sums, and the calibration passes of graph.quantize_graph, whose bands nest in
+# it. Each output element gets the same numpy operations in the same order
+# however the rows are banded; einsum and the ufuncs release the GIL, so threads
+# suffice. A band calls only numpy and private helpers, never a public function.
+_CPUS = len(os.sched_getaffinity(0))
+_BAND_POOL = ThreadPoolExecutor(max(_CPUS - 1, 1))  # on one CPU no permit exists: never used
+_IDLE = threading.Semaphore(_CPUS - 1)  # one permit per idle pool thread
 
 
-def _in_bands(rows: int, bands: int, fn: Callable[[int, int], None]) -> None:
-    """Call ``fn(a, b)`` once per contiguous slab [a, b) of ``bands`` slabs
-    covering range(rows): slab 0 on the calling thread, then each slab that no
-    pool thread has started, while it waits for the running ones. So no thread
-    waits on a queued slab, and slabs may nest on a saturated pool. Slabs are
-    empty when ``bands`` > ``rows``. Every slab has run when this returns or
-    raises the first failing slab's error."""
-    edges = [rows * k // bands for k in range(max(bands, 1) + 1)]
-    rest = [_BAND_POOL.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-    errors = []
-    for k, f in enumerate([None, *rest]):
+def _in_bands(rows: int, fn: Callable[[int, int], None]) -> None:
+    """Call ``fn(a, b)`` once per contiguous slab [a, b) of min(rows, CPUs)
+    slabs covering range(rows). Each slab after the first that finds an idle
+    pool thread (a permit of ``_IDLE``, held until the slab ends) runs there,
+    so no slab waits in the queue; the rest run on the calling thread. Every
+    slab has run when this returns or raises the first failing slab's error."""
+    n = max(min(rows, _CPUS), 1)
+    slabs = [(rows * k // n, rows * (k + 1) // n) for k in range(n)]
+
+    def pooled(a: int, b: int) -> None:
         try:
-            if f is None or f.cancel():
-                fn(edges[k], edges[k + 1])
-            else:
-                f.result()
+            fn(a, b)
+        finally:
+            _IDLE.release()
+
+    mine = n - sum(_IDLE.acquire(blocking=False) for _ in slabs[1:])  # slab 0 stays here
+    futures = [_BAND_POOL.submit(pooled, a, b) for a, b in slabs[mine:]]
+    errors = []
+    for call in [partial(fn, a, b) for a, b in slabs[:mine]] + [f.result for f in futures]:
+        try:
+            call()
         except BaseException as e:
             errors.append(e)
     if errors:
         raise errors[0]
 
 
-def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type, bands: int = 1,
+def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type,
               off: OffsetField | None = None) -> np.ndarray:
     """Zero-padded convolution sums in ``dtype``, accumulated tap by tap:
-    per-channel products when depthwise, channel contractions otherwise;
-    ``bands`` row slabs of the output are summed concurrently. With an offset
-    field each tap reads ``_sample`` at its ``tap_positions`` instead of a
-    slice of the padded map."""
+    per-channel products when depthwise, channel contractions otherwise, in
+    the row bands of ``_in_bands``. With an offset field each tap reads
+    ``_sample`` at its ``tap_positions`` instead of a slice of the padded map."""
     n, h, wd, ic = data.shape
     oh, ow = spec.out_hw(h, wd)
     pad, st = spec.kernel // 2, spec.stride
@@ -233,7 +240,7 @@ def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type, band
                 patch = patch.astype(dtype, copy=False)  # a gathered tap keeps the input's dtype
                 acc[:, a:b] += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
 
-    _in_bands(oh, bands, band)
+    _in_bands(oh, band)
     return acc
 
 
@@ -280,11 +287,10 @@ def _check_conv(x: FloatTensor | QuantTensor, w: FloatTensor | QuantTensor, spec
             raise ValueError("offset field spatial shape must match the output")
 
 
-def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec, bands: int = 1) -> FloatTensor:
-    """Direct zero-padded convolution, full or depthwise, in ``bands``
-    concurrent row slabs (the result does not depend on the count)."""
+def conv_ref(x: FloatTensor, w: FloatTensor, spec: ConvSpec) -> FloatTensor:
+    """Direct zero-padded convolution, full or depthwise."""
     _check_conv(x, w, spec)
-    acc = _tap_sums(x.data, w.data, spec, np.float64, bands)
+    acc = _tap_sums(x.data, w.data, spec, np.float64)
     return FloatTensor(Shape4(*acc.shape), acc)
 
 
@@ -293,14 +299,12 @@ def bilinear_sample(x: FloatTensor, py: float, px: float, c: int) -> float:
     return float(_sample(x.data[:1], np.array([py]), np.array([px]))[0, c])
 
 
-def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec,
-                    bands: int = 1) -> FloatTensor:
+def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: ConvSpec) -> FloatTensor:
     """Float deformable 3x3 convolution, bilinear at fractional positions;
     integer offset fields of any mode sample whole pixels exactly, with one
-    gather per tap. ``bands`` row slabs of the output are summed concurrently;
-    the result does not depend on the count."""
+    gather per tap."""
     _check_conv(x, w, spec, off)
-    acc = _tap_sums(x.data, w.data, spec, np.float64, bands, off=off)
+    acc = _tap_sums(x.data, w.data, spec, np.float64, off=off)
     return FloatTensor(Shape4(*acc.shape), acc)
 
 

@@ -44,8 +44,7 @@ class QuantParams:
     delta: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.bits not in (4, 8):
-            raise ValueError("bits must be 4 or 8")
+        _, qmax = symmetric_bounds(self.bits)
         if self.granularity not in (PER_LAYER, PER_CHANNEL):
             raise ValueError(f"unknown granularity {self.granularity!r}")
         t = np.atleast_1d(np.asarray(self.t, dtype=np.float64))
@@ -54,9 +53,7 @@ class QuantParams:
         if self.granularity == PER_LAYER and t.size != 1:
             raise ValueError("per-layer params take a single threshold")
         object.__setattr__(self, "t", t)
-        qmax = 2 ** (self.bits - 1) - 1
-        delta = t / qmax
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", t / qmax)
         self.t.setflags(write=False)
         self.delta.setflags(write=False)
 
@@ -80,8 +77,7 @@ def quantize(x: FloatTensor, qp: QuantParams) -> QuantTensor:
     delta = _group_view(qp, x.shape, qp.delta)
     clamped = np.clip(x.data.astype(np.float64), -t, t)
     codes = round_half_away(clamped / delta)
-    qmax = 2 ** (qp.bits - 1) - 1
-    codes = np.clip(codes, -qmax, qmax).astype(np.int8)
+    codes = np.clip(codes, *symmetric_bounds(qp.bits)).astype(np.int8)
     return QuantTensor(x.shape, codes, bits=qp.bits, qparams=qp)
 
 

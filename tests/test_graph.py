@@ -13,7 +13,7 @@ from codenet.graph import (GraphError, LayerNode, build_codenet, count_cost,
                            quantize_graph, run_inference, run_inference_float,
                            sigmoid_lut)
 from codenet.quant import QuantParams, RequantParams, quantize
-from codenet.tensor import FloatTensor, QuantTensor, Shape4
+from codenet.tensor import AccumTensor, FloatTensor, QuantTensor, Shape4
 
 from conftest import make_calib_images, make_tiny_graph, param_digest
 from oracles import conv2d_loop, scalar_network
@@ -292,7 +292,7 @@ class TestScalarNetwork:
         (True, ops.BOUNDED_INT, "requant"), (True, ops.BOUNDED_INT, "direct"),
         (True, ops.SQUARE, "requant"), (True, ops.SQUARE, "direct"),
     ])
-    def test_run_inference_matches_the_scalar_loops(self, deform, offset_mode, offset_path):
+    def test_run_inference_matches_the_scalar_loops(self, monkeypatch, deform, offset_mode, offset_path):
         g = make_tiny_graph(seed=11, resolution=32, deform=deform, offset_mode=offset_mode)
         rng = np.random.default_rng(12)
         for n in g.nodes:  # nonzero biases, so the requant and offset biases count;
@@ -303,8 +303,11 @@ class TestScalarNetwork:
         gq = quantize_graph(g, make_calib_images(32), offset_path=offset_path)
         codes = np.concatenate([_quant_image(gq, img).data for img in make_calib_images(32, seed=17)])
         heads, fields = scalar_network(gq, codes)
-        for got, want in zip(run_inference(gq, QuantTensor(Shape4(*codes.shape), codes)), heads, strict=True):
-            assert np.array_equal(got.data, want.astype(got.data.dtype))  # a FloatTensor holds float32
+        # the 3x3 kernels band their rows; 64 slabs exceed every row count here
+        for cpus in (1, 2, 64):
+            monkeypatch.setattr(ops, "_CPUS", cpus)
+            for got, want in zip(run_inference(gq, QuantTensor(Shape4(*codes.shape), codes)), heads, strict=True):
+                assert np.array_equal(got.data, want.astype(got.data.dtype))  # a FloatTensor holds float32
         for off in fields.values():  # the fields vary, so the taps do move
             assert len(np.unique(off.data)) > 1
 
@@ -363,6 +366,15 @@ class TestCalibration:
         with pytest.raises(GraphError, match=f"image dims .* resolution {g.resolution}"):
             quantize_graph(g, [good, bad])
 
+    @pytest.mark.parametrize("field,value", [("b_fp", np.nan), ("b_fp", np.inf), ("w_fp", np.inf)])
+    def test_nonfinite_parameter_names_its_node(self, field, value):
+        # an in-memory graph never passes load_graph's check; without this one
+        # the pass failed at a later node, or at none
+        g = make_tiny_graph(seed=3, deform=True)
+        getattr(g.node("pw"), field).flat[0] = value
+        with pytest.raises(GraphError, match="node 'pw': fp32 weights and biases must be finite"):
+            quantize_graph(g, make_calib_images(16, count=2))
+
     def test_image_order_does_not_change_parameters(self):
         g = make_tiny_graph(seed=3, deform=True)
         a, b, c = make_calib_images(16, count=3, seed=21)
@@ -409,8 +421,8 @@ class TestCalibration:
             assert param_digest(quantize_graph(g, make_calib_images(16, count=k, seed=21))) == self.RECORDED[k]
 
     def test_image_slabs_with_nested_bands_give_the_recorded_parameters(self):
-        # the child reports four CPUs, so its band pool has four threads and
-        # two images take two bands each in the same pool, whatever the host
+        # the child reports four CPUs, so its band pool has three threads that
+        # the image slabs and their conv bands share, whatever the host
         script = ("import os; os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
                   "from conftest import make_calib_images, make_tiny_graph, param_digest\n"
                   "from codenet.graph import quantize_graph\n"
@@ -429,27 +441,25 @@ class TestCalibration:
         real = G.run_inference_float
         images = make_calib_images(16, count=count)
 
-        def run(g, image, stats=None, **kw):
-            calls.append((threading.get_ident(), kw["bands"], image))
-            return real(g, image, stats=stats, **kw)
+        def run(g, image, stats=None):
+            calls.append((threading.get_ident(), image))
+            return real(g, image, stats=stats)
 
         monkeypatch.setattr(G, "run_inference_float", run)
         quantize_graph(make_tiny_graph(seed=3, deform=True), images)
-        cpus = len(os.sched_getaffinity(0))
-        workers = min(count, cpus)
         assert len(calls) == count
-        assert {b for _, b, _ in calls} == {cpus // workers}
-        # image 0's pass, and every pass of a lone worker, runs on the calling thread
-        assert [t for t, _, image in calls if image is images[0]] == [threading.get_ident()]
-        if workers == 1:
-            assert {t for t, _, _ in calls} == {threading.get_ident()}
+        # image 0's pass, and every pass of a lone slab, runs on the calling thread
+        assert [t for t, image in calls if image is images[0]] == [threading.get_ident()]
+        if min(count, ops._CPUS) == 1:
+            assert {t for t, _ in calls} == {threading.get_ident()}
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_band_workers_enter_no_public_function(self, monkeypatch, count):
         # the traced benchmark wraps these functions with one span stack for
         # all threads: a thread that enters one runs a calibration pass there
         # (the calling thread, or a pool thread that takes a slab of images),
-        # while the conv bands that pool threads also take enter none of them
+        # while the conv bands that pool threads also take enter none of them,
+        # and integer inference enters them on the calling thread only
         entered: dict[str, set[int]] = {}
 
         def spy(owner, name):
@@ -465,10 +475,21 @@ class TestCalibration:
         spy(G, "run_inference_float")
         for name in ("conv_ref", "deform_conv_ref", *passthrough):
             spy(ops, name)
-        quantize_graph(g, make_calib_images(g.resolution, count=count))
+        images = make_calib_images(g.resolution, count=count)
+        gq = quantize_graph(g, images)
         passes = entered.pop("run_inference_float")
         assert set(entered) == {"conv_ref", "deform_conv_ref", *passthrough}
         assert all(threads <= passes for threads in entered.values())
+
+        entered.clear()
+        kernels = ("conv1x1_q", "dw3x3_q", "deform_conv_q", "offset_gen", "conv3x3_full_q", "conv_acc", "requantize")
+        for name in kernels:
+            spy(ops, name)
+        for cls in (QuantTensor, AccumTensor):
+            spy(cls, "__post_init__")
+        run_inference(gq, _quant_image(gq, images[0]))
+        assert set(entered) == {*kernels, *passthrough, "__post_init__"}
+        assert all(threads == {threading.get_ident()} for threads in entered.values())
 
     def test_failing_pass_reraises_in_caller(self, monkeypatch):
         images = make_calib_images(16, count=3)
@@ -530,7 +551,7 @@ class TestCalibration:
         g = make_tiny_graph(seed=3, deform=True)
         x = np.random.default_rng(0).standard_normal((1, 4, 4, 8))
         for n in g.nodes[1:]:  # every conv after the stem reads 8 channels
-            out = G.KINDS[n.kind].run_f(n, [x], lambda name, a: a, 2)
+            out = G.KINDS[n.kind].run_f(n, [x], lambda name, a: a)
             assert not np.shares_memory(out, x)
 
     def test_inputs_unchanged(self):

@@ -1,8 +1,10 @@
+import gc
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -165,71 +167,123 @@ def _tap_loop(x, w, spec):
     return acc
 
 
+def _idle_permits():
+    """Permits of the band pool's idle-thread semaphore that are free now."""
+    n = 0
+    while ops._IDLE.acquire(blocking=False):
+        n += 1
+    if n:
+        ops._IDLE.release(n)
+    return n
+
+
 class TestRowBands:
-    """The float kernels sum row slabs of their output concurrently; every
-    element is computed the same way for any band count, so the bits match
-    the whole-map computation. 64 bands exceed every row count here, which
-    leaves slabs empty."""
+    """Every 3x3 kernel and the pointwise float sums split their output rows
+    into min(rows, CPUs) slabs; every element is computed the same way for any
+    slab count, so the bits match the whole-map computation. 64 CPUs exceed
+    every row count here, which gives one slab per row."""
 
-    BANDS = (1, 2, 3, 64)
+    CPUS = (1, 2, 3, 64)
 
-    def test_slabs_cover_the_rows_once_with_slab_0_on_the_caller(self):
-        seen = []
-        ops._in_bands(7, 3, lambda a, b: seen.append((a, b, threading.get_ident())))
-        assert sorted(s[:2] for s in seen) == [(0, 2), (2, 4), (4, 7)]
-        assert (0, 2, threading.get_ident()) in seen
+    def test_slabs_cover_the_rows_once_with_slab_0_on_the_caller(self, monkeypatch):
+        for rows, cpus, want in [(7, 1, [(0, 7)]), (7, 3, [(0, 2), (2, 4), (4, 7)]),
+                                 (7, 64, [(k, k + 1) for k in range(7)]), (0, 3, [(0, 0)])]:
+            monkeypatch.setattr(ops, "_CPUS", cpus)
+            seen = []
+            ops._in_bands(rows, lambda a, b: seen.append((a, b, threading.get_ident())))
+            assert sorted(s[:2] for s in seen) == want
+            assert (*want[0], threading.get_ident()) in seen
+            assert _idle_permits() == len(os.sched_getaffinity(0)) - 1
 
-    def test_a_failing_slab_raises_after_every_slab_ran(self):
+    def test_a_failing_slab_raises_after_every_slab_ran(self, monkeypatch):
+        monkeypatch.setattr(ops, "_CPUS", 3)
         done = []
 
         def band(a, b):
-            if a == 0:
-                raise RuntimeError("slab 0")
+            if a in (0, 2):  # the first failing slab's error is raised
+                raise RuntimeError(f"slab {a}")
             time.sleep(0.05)
             done.append(a)
 
         with pytest.raises(RuntimeError, match="slab 0"):
-            ops._in_bands(6, 3, band)
-        assert sorted(done) == [2, 4]
+            ops._in_bands(6, band)
+        assert done == [4]
+        assert _idle_permits() == len(os.sched_getaffinity(0)) - 1
+
+    def test_a_busy_pool_takes_no_slab_and_keeps_no_closure(self, monkeypatch):
+        # every pool thread holds an outer slab while slab 0 bands again on
+        # the calling thread: the nested slabs must all run there, and once
+        # the nested call returns nothing may hold its slab function (a
+        # queued or cancelled pool task would keep it and the arrays it reads)
+        monkeypatch.setattr(ops, "_CPUS", 64)
+        threads = len(os.sched_getaffinity(0)) - 1
+        started, release = threading.Semaphore(0), threading.Event()
+        seen, alive = [], []
+
+        def nested():
+            data = np.zeros(1000)
+            ops._in_bands(8, lambda a, b: seen.append((a, b, threading.get_ident(), data.size)))
+            return weakref.ref(data)
+
+        def outer(a, b):
+            if a:
+                started.release()
+                assert release.wait(timeout=30)
+                return
+            try:
+                assert all(started.acquire(timeout=30) for _ in range(threads))
+                ref = nested()
+                gc.collect()
+                alive.append(ref() is not None)
+            finally:
+                release.set()
+
+        ops._in_bands(threads + 1, outer)
+        assert [s[:2] for s in seen] == [(k, k + 1) for k in range(8)]
+        assert {s[2] for s in seen} == {threading.get_ident()}
+        assert alive == [False]
+        assert _idle_permits() == threads
 
     def test_nested_slabs_finish_on_a_saturated_pool(self):
-        # more outer slabs than pool threads, each banding again: a thread that
-        # waited on a queued inner slab would hang, so the child has a timeout;
-        # a short switch interval races the pool threads against cancel()
-        script = ("import os, sys, time\n"
+        # more outer slabs than pool threads, each banding again: a thread
+        # that waited on a queued inner slab would hang, so the child has a
+        # timeout; a short switch interval races the pool threads for permits
+        script = ("import sys, time\n"
                   "from codenet import ops\n"
                   "sys.setswitchinterval(1e-5)\n"
-                  "outer = 2 * len(os.sched_getaffinity(0)) + 1  # the pool has one thread per CPU\n"
+                  "outer = ops._CPUS = 2 * ops._CPUS + 1  # more slabs than pool threads\n"
                   "seen = []\n"
                   "def inner(a, b):\n"
                   "    time.sleep(0.01)\n"
                   "    seen.append((a, b))\n"
-                  "ops._in_bands(outer, outer, lambda a, b: ops._in_bands(4, 2, inner))\n"
-                  "print(len(seen) == 2 * outer, sorted(set(seen)))\n")
+                  "ops._in_bands(outer, lambda a, b: ops._in_bands(3, inner))\n"
+                  "print(len(seen) == 3 * outer, sorted(set(seen)))\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                env=env, timeout=60)
         assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == "True [(0, 2), (2, 4)]"
+        assert child.stdout.strip() == "True [(0, 1), (1, 2), (2, 3)]"
 
-    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("depthwise,stride", [(True, 1), (True, 2), (False, 1), (False, 2)])
-    def test_conv_ref(self, depthwise, stride, bands):
+    def test_conv_ref(self, monkeypatch, depthwise, stride, cpus):
+        monkeypatch.setattr(ops, "_CPUS", cpus)
         rng = np.random.default_rng(31)
         x = rng.standard_normal((2, 9, 7, 6)).astype(np.float32)
         w = rng.standard_normal((1, 3, 3, 6) if depthwise else (6, 3, 3, 5)).astype(np.float32)
         spec = ConvSpec(3, stride, depthwise)
         want = _tap_loop(x, w, spec)
-        assert np.array_equal(_bits(ops._tap_sums(x, w, spec, np.float64, bands)), _bits(want))
-        got = conv_ref(_ft(x), _ft(w), spec, bands=bands)  # rounds the sums to float32
+        assert np.array_equal(_bits(ops._tap_sums(x, w, spec, np.float64)), _bits(want))
+        got = conv_ref(_ft(x), _ft(w), spec)  # rounds the sums to float32
         assert np.array_equal(_bits(got.data), _bits(want.astype(np.float32)))
 
-    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("depthwise", [True, False])
     @pytest.mark.parametrize("mode", [BOUNDED_INT, SQUARE])
-    def test_deform_conv_ref(self, mode, depthwise, bands):
+    def test_deform_conv_ref(self, monkeypatch, mode, depthwise, cpus):
         # the reference samples the same whole pixels through fractional
         # positions, which take the four-corner path in one band
+        monkeypatch.setattr(ops, "_CPUS", cpus)
         rng = np.random.default_rng(33)
         x = rng.standard_normal((2, 9, 7, 4)).astype(np.float32)
         x[rng.random(x.shape) < 0.2] = -0.0
@@ -242,18 +296,19 @@ class TestRowBands:
             off = OffsetField(BOUNDED_INT, rng.integers(-4, 4, size=(2, 9, 7, 9, 2)), lo=-4, hi=3)
             delta = off.data
         want = deform_conv_ref(_ft(x), w, OffsetField(FREE_FRAC, delta), spec)
-        got = deform_conv_ref(_ft(x), w, off, spec, bands=bands)
+        got = deform_conv_ref(_ft(x), w, off, spec)
         assert np.array_equal(_bits(got.data), _bits(want.data))
 
-    @pytest.mark.parametrize("bands", BANDS)
+    @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("shape", [(2, 9, 7, 6, 5), (1, 16, 16, 232, 464)])
-    def test_float_conv1x1(self, shape, bands):
+    def test_float_conv1x1(self, monkeypatch, shape, cpus):
+        monkeypatch.setattr(ops, "_CPUS", cpus)
         rng = np.random.default_rng(34)
         n, h, wd, ic, oc = shape
         x = rng.standard_normal((n, h, wd, ic))
         w = rng.standard_normal((ic, 1, 1, oc)).astype(np.float32)
         want = np.einsum("nhwi,io->nhwo", x, w[:, 0, 0, :].astype(np.float64))
-        assert np.array_equal(_bits(_float_conv1x1(x, w, bands)), _bits(want))
+        assert np.array_equal(_bits(_float_conv1x1(x, w)), _bits(want))
 
     def test_one_gather_equals_four_corners_on_integer_positions(self):
         rng = np.random.default_rng(35)
