@@ -1,12 +1,13 @@
 """Command-line surface: quantize, infer, bench, cost, golden.
 
-Exit codes: 0 success, 1 usage, parameter, path or OS error, 2 verification
-failure.
+Exit codes: 0 success, 1 usage, parameter, path or OS error or an
+allocation too large to make, 2 verification failure.
 All commands are byte-reproducible for fixed seeds and inputs.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -83,12 +84,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: pass --op or --table2", file=sys.stderr)
         return 1
     trace, mems = memsim.ablation_case(args.op, dims, args.seed)
+    mem = mems[args.llc]
     if args.design:
         buf_rows = memsim.MemConfig.line_buffer_rows if args.rows is None else args.rows
-        mem = memsim.MemConfig(design=args.design, line_buffer_rows=buf_rows,
-                               llc_routed=bool(args.llc), llc_seed=args.seed + 1)
-    else:
-        mem = mems[args.llc]
+        mem = dataclasses.replace(mem, design=args.design, line_buffer_rows=buf_rows,
+                                  llc_routed=bool(args.llc))
     report = memsim.simulate(trace, mem)
     print(memsim.CSV_HEADER)
     print(memsim.row_to_csv(memsim.AblationRow(args.op, mem.design, bool(args.llc), report)))
@@ -183,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

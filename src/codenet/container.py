@@ -155,7 +155,7 @@ def parse_tensor(chunk: Chunk) -> np.ndarray:
 # Quantization parameter payloads
 # ---------------------------------------------------------------------------
 
-def qparams_chunk(name: str, wq: QuantParams | None, rp: RequantParams | None) -> Chunk:
+def qparams_chunk(name: str, wq: QuantParams | None, rp: RequantParams) -> Chunk:
     parts = []
     if wq is None:
         parts.append(struct.pack("<BBI", 0, 0, 0))
@@ -163,15 +163,11 @@ def qparams_chunk(name: str, wq: QuantParams | None, rp: RequantParams | None) -
         gran = 1 if wq.granularity == PER_CHANNEL else 0
         parts.append(struct.pack("<BBI", wq.bits, gran, wq.num_groups))
         parts.append(wq.t.astype("<f8").tobytes())
-    if rp is None:
-        parts.append(struct.pack("<BI", 0, 0))
-    else:
-        n = rp.num_channels
-        parts.append(struct.pack("<BI", 1, n))
-        parts.append(rp.multiplier.astype("<u4").tobytes())
-        parts.append(rp.shift.astype("<u1").tobytes())
-        parts.append(rp.bias.astype("<i4").tobytes())
-        parts.append(struct.pack("<dB", rp.out_delta, int(rp.relu)))
+    parts.append(struct.pack("<BI", 1, rp.num_channels))
+    parts.append(rp.multiplier.astype("<u4").tobytes())
+    parts.append(rp.shift.astype("<u1").tobytes())
+    parts.append(rp.bias.astype("<i4").tobytes())
+    parts.append(struct.pack("<dB", rp.out_delta, int(rp.relu)))
     return Chunk(CHUNK_QPARAMS, name, b"".join(parts))
 
 

@@ -9,7 +9,6 @@ so any platform or regression drift is caught bit for bit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +39,8 @@ def ref_requant_scalar(acc: int, m: int, s: int, bias: int, relu: bool) -> int:
 
 def ref_requantize(acc: np.ndarray, rp: RequantParams) -> np.ndarray:
     out = np.zeros(acc.shape, dtype=np.int8)
-    chans = acc.shape[-1]
     for idx in np.ndindex(acc.shape):
-        ch = idx[-1] if rp.num_channels == chans else 0
+        ch = idx[-1]
         out[idx] = ref_requant_scalar(int(acc[idx]), int(rp.multiplier[ch]),
                                       int(rp.shift[ch]), int(rp.bias[ch]), rp.relu)
     return out
@@ -95,16 +93,7 @@ def _random_codes(rng: np.random.Generator, shape: tuple[int, ...], bits: int) -
     return rng.integers(lo, hi + 1, size=shape, dtype=np.int64).astype(np.int8)
 
 
-@dataclass
-class GoldenCase:
-    op: str
-    seed: int
-    tensors: dict[str, np.ndarray]
-    rp: RequantParams
-    expected: np.ndarray
-
-
-def _build_case(op: str, seed: int) -> GoldenCase:
+def _build_case(op: str, seed: int) -> tuple[dict[str, np.ndarray], RequantParams, np.ndarray]:
     rng = np.random.default_rng([seed, OPS.index(op)])
     relu = bool(rng.integers(0, 2))
     if op == "requantize":
@@ -141,7 +130,7 @@ def _build_case(op: str, seed: int) -> GoldenCase:
     expected = ref_requantize(sums, rp)
     if not np.array_equal(expected, _replay(op, tensors, rp)):
         raise AssertionError(f"golden generation: kernel disagrees with reference for {op}")
-    return GoldenCase(op, seed, tensors, rp, expected)
+    return tensors, rp, expected
 
 
 def _qt(codes: np.ndarray, bits: int) -> QuantTensor:
@@ -156,14 +145,14 @@ def generate(directory: str, seed: int = 1) -> list[str]:
     os.makedirs(directory, exist_ok=True)
     paths = []
     for op in OPS:
-        case = _build_case(op, seed)
+        tensors, rp, expected = _build_case(op, seed)
         desc = f"golden-vector 1\nop {op}\nseed {seed}\ntolerance 0\n"
         chunks = [Chunk(CHUNK_DESCRIPTOR, "case", desc.encode())]
-        for name, arr in case.tensors.items():
+        for name, arr in tensors.items():
             code = DTYPE_I8 if arr.dtype == np.int8 else DTYPE_I32
             chunks.append(tensor_chunk(name, arr, code))
-        chunks.append(qparams_chunk("rp", None, case.rp))
-        chunks.append(tensor_chunk("expected", case.expected, DTYPE_I8))
+        chunks.append(qparams_chunk("rp", None, rp))
+        chunks.append(tensor_chunk("expected", expected, DTYPE_I8))
         path = _case_path(directory, op)
         write_container(path, chunks)
         paths.append(path)

@@ -471,7 +471,7 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
         if n.is_conv:
             return KINDS[n.kind].run_q(n, xs)
         out = getattr(ops, n.kind)(*(x.data for x in xs))  # looked up at call time
-        wrap = lambda o: QuantTensor(Shape4(*o.shape), o, qparams=xs[0].qparams)
+        wrap = lambda o: QuantTensor(Shape4(*o.shape), o)
         return tuple(map(wrap, out)) if isinstance(out, tuple) else wrap(out)
 
     values = _run_nodes(g, image, run)

@@ -28,22 +28,22 @@ when every touched line fits the cache without an eviction.
 A replay is one sequential loop, because all sets share one LFSR, but the
 replays of one ablation grid do not depend on each other. So when the map
 overflows the LLC (h * w * ic > 1 MiB) and more than one CPU is available,
-ablation_table replays the LLC rows that replay (the deform rows) on a pool
-of forked workers, one per row and at most one per CPU, while it prices the
-rows in order; fork, so that a caller script needs no main guard. _cache_cost
-takes the counts of the replay whose stream matches its own (LFSR seed,
-request bytes and a digest of the addresses), and replays inline otherwise.
+ablation_table replays the LLC rows that replay (the two deform rows) on a
+pool of forked workers, one per row, while it prices the rows in order;
+fork, so that a caller script needs no main guard. _cache_cost takes the
+counts of the replay whose stream matches its own (LFSR seed, request bytes
+and a digest of the addresses), and replays inline otherwise.
 Every count is the same on any number of CPUs.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec, OffsetField,
                   offset_channels, tap_positions)
 
@@ -516,15 +516,13 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
 def _replay_operations(dims: tuple[int, int, int, int]) -> list[str]:
     """The operations whose LLC rows ablation_table replays on its pool: none
     when the map fits the LLC (every stream then has a closed form) or only
-    one CPU is available, else those served by the ``llc`` design, at most
-    one per CPU."""
+    one CPU is available (``ops._CPUS``), else those served by the ``llc``
+    design."""
     h, w, ic, _ = dims
-    if h * w * ic <= LLC_SETS * LLC_WAYS * LLC_LINE:
+    if h * w * ic <= LLC_SETS * LLC_WAYS * LLC_LINE or ops._CPUS < 2:
         return []
-    cpus = len(os.sched_getaffinity(0))
-    operations = [f"{half}_{op}" for half in _HALVES for op in _OPERATIONS
-                  if _ablation_mem(op, True, 0).design == LLC]
-    return operations[:cpus] if cpus > 1 else []
+    return [f"{half}_{op}" for half in _HALVES for op in _OPERATIONS
+            if _ablation_mem(op, True, 0).design == LLC]
 
 
 def ablation_table(dims: tuple[int, int, int, int], seed: int) -> list[AblationRow]:

@@ -128,9 +128,9 @@ class RequantParams:
 
     ``multiplier`` is normalized into [2**30, 2**31) so M * 2**-s tracks the
     real factor in_delta * w_delta / out_delta to better than 2**-24 relative
-    error. ``out_delta`` records the step of the produced 8-bit activation so
-    downstream consumers can dequantize; ``relu`` applies max(0, .) after the
-    clamp (folded activation).
+    error. ``out_delta`` is the step of the produced 8-bit activation, its one
+    record (activation tensors carry no ``qparams``); ``relu`` applies
+    max(0, .) after the clamp (folded activation).
     """
 
     multiplier: np.ndarray
@@ -193,18 +193,7 @@ def derive_requant(
     else:
         bias = round_half_away(np.atleast_1d(np.asarray(bias_fp, dtype=np.float64)) / out_delta)
         bias = bias.astype(np.int64)
-        if bias.size == 1 and mult.size > 1:
-            bias = np.full_like(mult, bias[0])
     return RequantParams(mult, shift, bias, out_delta=out_delta, relu=relu)
-
-
-def _broadcast_channels(rp: RequantParams, channels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if rp.num_channels == channels:
-        return rp.multiplier, rp.shift, rp.bias
-    if rp.num_channels == 1:
-        rep = lambda a: np.full(channels, a[0], dtype=np.int64)
-        return rep(rp.multiplier), rep(rp.shift), rep(rp.bias)
-    raise ValueError(f"requant params carry {rp.num_channels} channels, accumulator has {channels}")
 
 
 def requantize(acc: AccumTensor, rp: RequantParams) -> QuantTensor:
@@ -215,12 +204,13 @@ def requantize(acc: AccumTensor, rp: RequantParams) -> QuantTensor:
     saturates into [-127, 127] ([0, 127] with relu). All steps run in place
     on one int64 buffer.
     """
-    m, s, b = _broadcast_channels(rp, acc.shape.c)
-    out = np.multiply(acc.data, m, dtype=np.int64)  # |acc| < 2**31 and M < 2**31: fits int64
+    if rp.num_channels != acc.shape.c:
+        raise ValueError(f"requant params carry {rp.num_channels} channels, accumulator has {acc.shape.c}")
+    s = rp.shift
+    out = np.multiply(acc.data, rp.multiplier, dtype=np.int64)  # |acc| < 2**31 and M < 2**31: fits int64
     out += np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
     out >>= s
-    out += b
+    out += rp.bias
     lo, hi = symmetric_bounds(8)
     codes = np.clip(out, 0 if rp.relu else lo, hi, out=out).astype(np.int8)
-    qp = QuantParams(8, PER_LAYER, np.array([rp.out_delta * 127.0]))
-    return QuantTensor(acc.shape, codes, bits=8, qparams=qp)
+    return QuantTensor(acc.shape, codes, bits=8)

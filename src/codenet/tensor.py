@@ -77,7 +77,9 @@ class QuantTensor:
     """Signed integer tensor with a symmetric k-bit code range.
 
     ``bits`` is 4 for weights or 8 for activations; codes live in int8 storage
-    either way. ``qparams`` carries the quantizer step(s) when known.
+    either way. ``qparams`` carries the quantizer step(s) and is set on weights
+    and on quantized images only; an activation's step is its producer's
+    ``RequantParams.out_delta``.
     """
 
     shape: Shape4

@@ -163,7 +163,7 @@ def scalar_offsets(n: LayerNode, x: np.ndarray) -> OffsetField:
     lo = max(n.offset_lo, 0) if n.offset_mode == SQUARE else n.offset_lo
     vals = np.zeros(acc.shape, dtype=np.int64)
     for idx in np.ndindex(acc.shape):
-        ch = idx[-1] if rp.num_channels == acc.shape[-1] else 0
+        ch = idx[-1]
         if codes is not None:
             real = float(codes[idx]) * rp.out_delta
         else:

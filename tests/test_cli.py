@@ -144,6 +144,14 @@ class TestCost:
         assert r.stderr.startswith("error: classes")
         assert r.stdout == ""
 
+    def test_unallocatable_size_exits_1(self):
+        # about 455 PB of head weights: beyond any 64-bit user address space,
+        # so the request fails at once without touching memory
+        r = run_cli("cost", "--config", "a", "--classes", "1000000000000000")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
+
 
 class TestQuantizeInfer:
     def test_quantize_then_infer_deterministic(self, fixture_dir):

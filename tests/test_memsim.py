@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from codenet import memsim
+from codenet import memsim, ops
 from codenet.memsim import (ABLATION_BOUND, BASELINE_DRAM, LINE_BUFFER,
                             LINE_BUFFER_MULTIPORT, LLC, LLC_LINE, LLC_SETS, EngineConfig,
                             MemConfig, ablation_case, ablation_table, gen_trace, roofline,
@@ -356,7 +356,7 @@ class TestReplayWorkers:
     @pytest.fixture
     def cpus(self, monkeypatch):
         def allow(n: int) -> None:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            monkeypatch.setattr(ops, "_CPUS", n)
         return allow
 
     @pytest.mark.parametrize("seed", [2, 9])

@@ -180,6 +180,10 @@ class TestDeriveRequant:
         with pytest.raises(ValueError, match=re.escape(message)):
             derive_requant(in_delta, w_delta, 1.0)
 
+    def test_bias_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="share one length"):
+            derive_requant(1.0, [0.5, 0.25], 1.0, bias_fp=[1.0])
+
 
 class TestRequantize:
     def _acc(self, values, oc=1):
@@ -201,6 +205,11 @@ class TestRequantize:
         rp = derive_requant(1.0, [0.5], 1.0)
         out = requantize(self._acc([100000, -100000]), rp)
         assert out.data.ravel().tolist() == [127, -127]
+
+    def test_one_channel_params_not_broadcast(self):
+        rp = derive_requant(1.0, [0.5], 1.0)
+        with pytest.raises(ValueError, match="^requant params carry 1 channels, accumulator has 4$"):
+            requantize(self._acc([1, 2, 3, 4], oc=4), rp)
 
     def test_matches_float64_oracle(self):
         rng = np.random.default_rng(11)
