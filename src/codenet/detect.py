@@ -53,24 +53,33 @@ def find_peaks(heatmap: np.ndarray, top_k: int = 100) -> list[tuple[int, int, in
     neighbors (missing neighbors count as -inf); the >= rule keeps
     equal-valued plateau cells under the coarse 8-bit value grid. Ties are
     broken by (class, y, x) so the result is reproducible. Returns
-    (class, x, y, score) tuples, at most ``top_k``.
+    (class, x, y, score) tuples, at most ``top_k``. A float heatmap is
+    compared in its own dtype, which is exact; any other is read as float64.
     """
-    hm = np.asarray(heatmap, dtype=np.float64)
+    hm = np.asarray(heatmap)
+    if hm.dtype.kind != "f":
+        hm = hm.astype(np.float64)
     if hm.ndim != 3:
         raise ValueError("heatmap must have shape (h, w, c)")
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
     h, w, c = hm.shape
-    padded = np.full((h + 2, w + 2, c), -np.inf)
-    padded[1:-1, 1:-1, :] = hm
     is_peak = hm > 0
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
             if dy == 0 and dx == 0:
                 continue
-            is_peak &= hm >= padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w, :]
-    ys, xs, cs = np.nonzero(is_peak)
-    scores = hm[ys, xs, cs]
+            # cells whose neighbor at (dy, dx) lies inside the map; a missing one never wins
+            cell = (slice(max(-dy, 0), h - max(dy, 0)), slice(max(-dx, 0), w - max(dx, 0)))
+            near = (slice(max(dy, 0), h - max(-dy, 0)), slice(max(dx, 0), w - max(-dx, 0)))
+            is_peak[cell] &= hm[cell] >= hm[near]
+    flat = np.flatnonzero(is_peak)
+    scores = hm.reshape(-1)[flat]
+    if 0 < top_k < len(scores):
+        # every peak of the first top_k scores at least the top_k-th largest score
+        keep = scores >= np.partition(scores, len(scores) - top_k)[len(scores) - top_k]
+        flat, scores = flat[keep], scores[keep]
+    ys, xs, cs = np.unravel_index(flat, hm.shape)
     order = np.lexsort((xs, ys, cs, -scores))[:top_k]
     return [(int(cs[i]), int(xs[i]), int(ys[i]), float(scores[i])) for i in order]
 

@@ -14,10 +14,11 @@ regular or deformable, sums its taps in ``_tap_sums``; a deformable tap reads
 ``_sample`` (one ``_gather`` at integer positions, four bilinear corners at
 fractional ones), and ``_check_conv`` is the one check of weight layouts and
 offset fields.
-Every integer kernel sums code products exactly in ``conv_acc`` (in float32
-under the bound of ``_acc_dtype``, so BLAS can do the work, gathering whole
-pixels with no interpolation) and requantizes that 32-bit accumulator to 8-bit
-codes; out-of-bounds samples read as zero in both the float and integer paths.
+Every integer kernel sums code products exactly in ``conv_acc`` (depthwise
+sums in int16, contractions in float32 so BLAS can do the work, each under
+its bound in ``_acc_dtype``, gathering whole pixels with no interpolation)
+and requantizes that 32-bit accumulator to 8-bit codes; out-of-bounds samples
+read as zero in both the float and integer paths.
 """
 from __future__ import annotations
 
@@ -175,8 +176,8 @@ def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> 
 # Float reference path
 # ---------------------------------------------------------------------------
 
-# The one thread pool: row bands of every 3x3 kernel and the pointwise float
-# sums, and the calibration passes of graph.quantize_graph, whose bands nest in
+# The one thread pool: row bands of every float 3x3 kernel and the pointwise
+# float sums, and the calibration passes of graph.quantize_graph, whose bands nest in
 # it. Each output element gets the same numpy operations in the same order
 # however the rows are banded; einsum and the ufuncs release the GIL, so threads
 # suffice. A band calls only numpy and private helpers, never a public function.
@@ -214,33 +215,49 @@ def _in_bands(rows: int, fn: Callable[[int, int], None]) -> None:
 
 def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type,
               off: OffsetField | None = None) -> np.ndarray:
-    """Zero-padded convolution sums in ``dtype``, accumulated tap by tap:
-    per-channel products when depthwise, channel contractions otherwise, in
-    the row bands of ``_in_bands``. With an offset field each tap reads
-    ``_sample`` at its ``tap_positions`` instead of a slice of the padded map."""
+    """Zero-padded convolution sums in ``dtype``. Depthwise kernels, and
+    contractions in float64 or int64, accumulate tap by tap, the float64
+    reference in the row bands of ``_in_bands``; a float32 contraction
+    gathers every tap into one (rows, taps·ic) column matrix and takes one
+    matmul, exact under the bound of ``_acc_dtype``. With an offset field
+    each tap reads ``_sample`` at its ``tap_positions`` instead of a slice of
+    the padded map. Integer codes are padded in their own dtype and widen in
+    the products."""
     n, h, wd, ic = data.shape
     oh, ow = spec.out_hw(h, wd)
     pad, st = spec.kernel // 2, spec.stride
+    taps = list(np.ndindex(spec.kernel, spec.kernel))
     if off is None:
-        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=dtype)
+        codes = data.dtype.kind == "i"
+        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=data.dtype if codes else dtype)
         xp[:, pad:pad + h, pad:pad + wd, :] = data
     else:
         iy, ix = tap_positions(off, spec, oh, ow)
+
+    def patch(tap: int, a: int, b: int) -> np.ndarray:
+        if off is None:
+            ky, kx = taps[tap]
+            return xp[:, ky + a * st:ky + b * st:st, kx:kx + ow * st:st, :]
+        return _sample(data, iy[:, a:b, :, tap], ix[:, a:b, :, tap])
+
+    if dtype is np.float32 and not spec.depthwise:
+        cols = np.stack([patch(t, 0, oh) for t in range(len(taps))], axis=3).astype(dtype)
+        wcols = w.transpose(1, 2, 0, 3).reshape(len(taps) * ic, -1).astype(dtype)  # rows in (tap, ic) order
+        return (cols.reshape(-1, len(taps) * ic) @ wcols).reshape(n, oh, ow, -1)
     acc = np.zeros((n, oh, ow, ic if spec.depthwise else w.shape[-1]), dtype=dtype)
 
     def band(a: int, b: int) -> None:
-        for tap, (ky, kx) in enumerate(np.ndindex(spec.kernel, spec.kernel)):
-            if off is None:
-                patch = xp[:, ky + a * st:ky + b * st:st, kx:kx + ow * st:st, :]
-            else:
-                patch = _sample(data, iy[:, a:b, :, tap], ix[:, a:b, :, tap])
+        for t, (ky, kx) in enumerate(taps):
             if spec.depthwise:
-                acc[:, a:b] += patch * w[0, ky, kx, :].astype(dtype)
+                acc[:, a:b] += patch(t, a, b) * w[0, ky, kx, :].astype(dtype)
             else:
-                patch = patch.astype(dtype, copy=False)  # a gathered tap keeps the input's dtype
-                acc[:, a:b] += np.einsum("nhwi,io->nhwo", patch, w[:, ky, kx, :].astype(dtype))
+                acc[:, a:b] += np.einsum("nhwi,io->nhwo", patch(t, a, b).astype(dtype, copy=False),
+                                         w[:, ky, kx, :].astype(dtype))
 
-    _in_bands(oh, band)
+    if dtype is np.float64:
+        _in_bands(oh, band)
+    else:  # integer sums move 1-2 bytes an element: handing bands to the pool was slower
+        band(0, oh)
     return acc
 
 
@@ -312,17 +329,22 @@ def deform_conv_ref(x: FloatTensor, w: FloatTensor, off: OffsetField, spec: Conv
 # Integer kernels mirroring the accelerator engines
 # ---------------------------------------------------------------------------
 
-# A product of an 8-bit and a 4-bit code is at most 127 * 7 in magnitude, and
-# float32 holds every integer up to 2**24 exactly.
+# A product of an 8-bit and a 4-bit code is at most 127 * 7 in magnitude;
+# int16 holds every integer up to 2**15 - 1 and float32 every one up to 2**24.
 _MAX_PRODUCT = 127 * 7
+_I16_EXACT = (1 << 15) - 1
 _F32_EXACT = 1 << 24
 
 
-def _acc_dtype(terms: int) -> type:
-    """Accumulator dtype for sums of ``terms`` code products: float32 while
-    every partial sum, in any order, is an integer float32 holds exactly
-    (``terms`` <= 18,872), so any BLAS tiling or thread count gives the same
-    sum; int64 beyond that."""
+def _acc_dtype(terms: int, depthwise: bool) -> type:
+    """Accumulator dtype for sums of ``terms`` code products, exact while
+    every partial sum, in any order, fits it: int16 for depthwise sums of
+    ``terms`` <= 36 (a 3x3 reaches 8,001), float32 for contractions of
+    ``terms`` <= 18,872, so any BLAS tiling or thread count gives the same
+    sum, and int64 beyond that. A contraction stays float32 where int16
+    would hold it, because numpy has no BLAS path for integer matmuls."""
+    if depthwise and _MAX_PRODUCT * terms <= _I16_EXACT:
+        return np.int16
     return np.float32 if _MAX_PRODUCT * terms <= _F32_EXACT else np.int64
 
 
@@ -331,20 +353,20 @@ def conv_acc(x: QuantTensor, w: QuantTensor, spec: ConvSpec, off: OffsetField | 
     one accumulate step of every integer kernel: kernel² (times ic unless
     depthwise) terms per output in the dtype of ``_acc_dtype``, as one matmul
     for the stride-1 pointwise spec and in ``_tap_sums`` for any other. Offsets
-    must be integers, as the engines do not interpolate. float32 sums are
-    integers below 2**24, so their cast to int32 is exact."""
+    must be integers, as the engines do not interpolate. int16 and float32
+    sums are integers below 2**24, so their cast to int32 is exact."""
     if x.bits != 8 or w.bits != 4:
         raise ValueError(f"needs 8-bit activation and 4-bit weight codes, got {x.bits} and {w.bits} bits")
     if off is not None and off.mode == FREE_FRAC:
         raise ValueError("integer kernel requires integer offsets; round and clip first")
     _check_conv(x, w, spec, off)
-    dt = _acc_dtype(spec.kernel ** 2 * (1 if spec.depthwise else x.shape.c))
+    dt = _acc_dtype(spec.kernel ** 2 * (1 if spec.depthwise else x.shape.c), spec.depthwise)
     if spec == ConvSpec(kernel=1):
         n, h, wd, ic = x.shape.dims
         acc = (x.data.reshape(-1, ic).astype(dt) @ w.data.reshape(ic, -1).astype(dt)).reshape(n, h, wd, -1)
     else:
         acc = _tap_sums(x.data, w.data, spec, dt, off=off)
-    return AccumTensor(Shape4(*acc.shape), acc.astype(np.int32) if dt is np.float32 else acc)
+    return AccumTensor(Shape4(*acc.shape), acc if dt is np.int64 else acc.astype(np.int32))
 
 
 def conv1x1_q(x: QuantTensor, w: QuantTensor, rp: RequantParams) -> QuantTensor:

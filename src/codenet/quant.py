@@ -22,6 +22,8 @@ PER_CHANNEL = "per_channel"
 # approximation error of M * 2**-s is then below 2**-30.
 _M_HI = 1 << 31
 _MAX_SHIFT = 63
+# Elements per block of requantize: its int64 buffer (1 MiB) stays in cache.
+_BLOCK = 1 << 17
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -72,12 +74,21 @@ def _group_view(qp: QuantParams, shape: Shape4, values: np.ndarray) -> np.ndarra
 
 
 def quantize(x: FloatTensor, qp: QuantParams) -> QuantTensor:
-    """Clamp, scale by 1/delta and round half away from zero."""
+    """Clamp, scale by 1/delta and round half away from zero, in place on
+    one float64 buffer. NaN has no code and raises; ±inf clamps to ±t."""
     t = _group_view(qp, x.shape, qp.t)
     delta = _group_view(qp, x.shape, qp.delta)
-    clamped = np.clip(x.data.astype(np.float64), -t, t)
-    codes = round_half_away(clamped / delta)
-    codes = np.clip(codes, *symmetric_bounds(qp.bits)).astype(np.int8)
+    if np.isnan(x.data).any():
+        raise ValueError("cannot quantize NaN")
+    buf = x.data.astype(np.float64)
+    np.clip(buf, -t, t, out=buf)
+    buf /= delta
+    np.abs(buf, out=buf)  # round half away from zero: floor(|v| + 0.5) with the sign of x
+    buf += 0.5
+    np.floor(buf, out=buf)
+    np.copysign(buf, x.data, out=buf)
+    lo, hi = symmetric_bounds(qp.bits)
+    codes = np.clip(buf, lo, hi, out=buf).astype(np.int8)
     return QuantTensor(x.shape, codes, bits=qp.bits, qparams=qp)
 
 
@@ -201,16 +212,28 @@ def requantize(acc: AccumTensor, rp: RequantParams) -> QuantTensor:
 
     The rounding shift adds 2**(s-1) before the arithmetic right shift
     (round half up in the shifted domain), the bias is added and the result
-    saturates into [-127, 127] ([0, 127] with relu). All steps run in place
-    on one int64 buffer.
+    saturates into [-127, 127] ([0, 127] with relu). The steps run in place
+    on one reused int64 buffer of about ``_BLOCK`` elements, one block of
+    accumulator rows after another, so the buffer stays in cache, and each
+    block's codes go straight into the int8 output.
     """
-    if rp.num_channels != acc.shape.c:
-        raise ValueError(f"requant params carry {rp.num_channels} channels, accumulator has {acc.shape.c}")
+    c = acc.shape.c
+    if rp.num_channels != c:
+        raise ValueError(f"requant params carry {rp.num_channels} channels, accumulator has {c}")
     s = rp.shift
-    out = np.multiply(acc.data, rp.multiplier, dtype=np.int64)  # |acc| < 2**31 and M < 2**31: fits int64
-    out += np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
-    out >>= s
-    out += rp.bias
+    add = np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
     lo, hi = symmetric_bounds(8)
-    codes = np.clip(out, 0 if rp.relu else lo, hi, out=out).astype(np.int8)
-    return QuantTensor(acc.shape, codes, bits=8)
+    lo = 0 if rp.relu else lo
+    flat = acc.data.reshape(-1, c)
+    step = max(_BLOCK // c, 1)
+    buf = np.empty((min(step, len(flat)), c), dtype=np.int64)
+    codes = np.empty(flat.shape, dtype=np.int8)
+    for a in range(0, len(flat), step):
+        b = min(a + step, len(flat))
+        out = buf[:b - a]
+        np.multiply(flat[a:b], rp.multiplier, out=out)  # |acc| <= 2**31, M < 2**31: fits int64
+        out += add
+        out >>= s
+        out += rp.bias
+        np.clip(out, lo, hi, out=codes[a:b], casting="unsafe")  # in [lo, hi]: the cast is exact
+    return QuantTensor(acc.shape, codes.reshape(acc.shape.dims), bits=8)

@@ -1,7 +1,10 @@
 """Dense NHWC tensor containers shared by every stage of the pipeline.
 
 All tensors are immutable after construction (the backing numpy buffer is
-marked read-only) so they can be shared freely across threads.
+marked read-only) so they can be shared freely across threads. An input array
+already in the storage dtype (int8 codes, int32 sums) is adopted as a
+read-only view without a copy: its range was checked once, so the caller must
+not write to it afterwards.
 """
 from __future__ import annotations
 
@@ -79,7 +82,8 @@ class QuantTensor:
     ``bits`` is 4 for weights or 8 for activations; codes live in int8 storage
     either way. ``qparams`` carries the quantizer step(s) and is set on weights
     and on quantized images only; an activation's step is its producer's
-    ``RequantParams.out_delta``.
+    ``RequantParams.out_delta``. An int8 ``data`` array is adopted as a
+    read-only view, not copied; the caller must not write to it afterwards.
     """
 
     shape: Shape4
@@ -94,7 +98,7 @@ class QuantTensor:
             raise ValueError("QuantTensor data must be integer typed")
         if arr.size and (arr.min() < lo or arr.max() > hi):
             raise ValueError(f"codes outside symmetric {self.bits}-bit range [{lo},{hi}]")
-        arr = arr.astype(np.int8).reshape(self.shape.dims)
+        arr = arr.astype(np.int8, copy=False).reshape(self.shape.dims)
         object.__setattr__(self, "data", _freeze(arr))
 
 
@@ -110,7 +114,7 @@ class AccumTensor:
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("AccumTensor data must be integer typed")
         info = np.iinfo(np.int32)
-        if arr.size and (arr.min() < info.min or arr.max() > info.max):
+        if arr.dtype != np.int32 and arr.size and (arr.min() < info.min or arr.max() > info.max):
             raise ValueError("accumulator value outside 32-bit range")
         arr = arr.astype(np.int32, copy=False).reshape(self.shape.dims)
         object.__setattr__(self, "data", _freeze(arr))

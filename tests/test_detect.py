@@ -49,6 +49,32 @@ class TestFindPeaks:
             assert find_peaks(hm) == peaks_exhaustive(hm)
 
 
+    def test_top_k_zero_gives_nothing(self):
+        hm = np.random.default_rng(3).random((6, 6, 2))
+        assert find_peaks(hm, top_k=0) == []
+
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_top_k_at_or_above_the_peak_count_keeps_every_peak(self, extra):
+        hm = np.random.default_rng(4).integers(0, 6, size=(9, 7, 3)).astype(np.float64) / 255.0
+        every = peaks_exhaustive(hm, top_k=hm.size)
+        assert find_peaks(hm, top_k=len(every) + extra) == every
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plateau_maps_match_the_full_sort(self, dtype):
+        # few 8-bit levels make plateaus and ties at the k-th score; nan cells are never peaks
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            levels = int(rng.integers(2, 6))
+            hm = (rng.integers(0, levels, size=(10, 8, 3)) * 37 / 255.0).astype(dtype)
+            if trial % 2:
+                hm[rng.random(hm.shape) < 0.05] = np.nan
+            every = peaks_exhaustive(hm, top_k=hm.size)
+            for top_k in (0, 1, 3, len(every) // 2, max(len(every) - 1, 0), 100):
+                assert find_peaks(hm, top_k=top_k) == every[:top_k]
+            if dtype is np.float32:
+                assert find_peaks(hm) == find_peaks(hm.astype(np.float64))
+
+
 class TestDecode:
     def test_formula_example(self):
         offsets = np.zeros((16, 16, 2))

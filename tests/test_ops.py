@@ -560,6 +560,61 @@ class TestExactAccumulation:
                              text=True, env=env, check=True)
         assert out.stdout.strip() == "16778097"
 
+    def test_int16_only_for_depthwise_sums_of_at_most_36_terms(self):
+        # 889 * 36 = 32,004 fits int16; 889 * 37 = 32,893 does not
+        assert ops._acc_dtype(9, True) is ops._acc_dtype(36, True) is np.int16
+        assert ops._acc_dtype(37, True) is np.float32
+        for terms in (1, 9, 24, 27, 36, 18_872):
+            assert ops._acc_dtype(terms, False) is np.float32
+        assert ops._acc_dtype(18_873, False) is np.int64
+
+    def test_int16_bound_survives_optimized_mode(self):
+        code = ("from codenet.ops import _acc_dtype; "
+                "print(_acc_dtype(36, True).__name__, _acc_dtype(37, True).__name__, _acc_dtype(9, False).__name__)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.split() == ["int16", "float32", "float32"]
+
+    def test_pointwise_ic_24_sums_in_float32_and_matches_int64_oracle(self, monkeypatch):
+        # 24 terms would fit int16, but a contraction must stay a BLAS matmul
+        seen = []
+        pick = ops._acc_dtype
+        monkeypatch.setattr(ops, "_acc_dtype", lambda *a: seen.append(pick(*a)) or seen[-1])
+        rng = np.random.default_rng(24)
+        x = _extreme_codes((1, 6, 5, 24), 8, rng)
+        w = _extreme_codes((24, 1, 1, 10), 4, rng)
+        x[0, 0, 0], w[:, 0, 0, 0] = 127, 7  # output (0, 0, 0) sums 24 products of 889
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(1))
+        want = int_conv1x1_loop(x.astype(np.int64), w.astype(np.int64))
+        assert seen == [np.float32]
+        assert np.array_equal(got.data, want) and got.data[0, 0, 0, 0] == 24 * 889
+
+    def test_full_3x3_beyond_the_float32_bound_is_exact(self):
+        # 9 taps x 2,097 channels = 18,873 terms: the int64 tap loop, not the float32 GEMM
+        x = np.full((1, 3, 3, 2097), 127, dtype=np.int8)
+        w = np.full((2097, 3, 3, 1), 7, dtype=np.int8)
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, 1, False))
+        assert got.data[0, 1, 1, 0] == 16_778_097 and got.data[0, 0, 0, 0] == 4 * 2097 * 889
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_stem_gemm_matches_loop_oracle(self, stride):
+        rng = np.random.default_rng([25, stride])
+        x = _extreme_codes((2, 13, 11, 3), 8, rng)
+        w = _extreme_codes((3, 3, 3, 5), 4, rng)
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, stride, False))
+        assert np.array_equal(got.data, conv2d_loop(x, w, stride, 1, depthwise=False).astype(np.int64))
+
+    def test_full_deformable_gemm_matches_float64_reference(self):
+        # integer offsets make the float64 reference exact on code values
+        rng = np.random.default_rng(26)
+        x = _extreme_codes((1, 7, 6, 4), 8, rng)
+        w = _extreme_codes((4, 3, 3, 3), 4, rng)
+        off = OffsetField(BOUNDED_INT, rng.integers(-2, 3, size=(1, 7, 6, 9, 2)), lo=-2, hi=2)
+        got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, 1, False), off)
+        want = deform_conv_ref(_ft(x.astype(np.float32)), _ft(w.astype(np.float32)), off, ConvSpec(3, 1, False))
+        assert np.array_equal(got.data, want.data.astype(np.int64))
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_dw3x3_extreme_codes_match_loop_oracle(self, stride):
         rng = np.random.default_rng([21, stride])

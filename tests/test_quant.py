@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codenet import quant
 from codenet.quant import (PER_CHANNEL, PER_LAYER, QuantParams, RequantParams,
                            calibrate, dequantize, derive_requant, quantize, requantize)
 from codenet.tensor import AccumTensor, FloatTensor, Shape4
@@ -66,6 +67,22 @@ class TestQuantize:
         xs = rng.uniform(-7, 7, size=256).astype(np.float32)
         q = quantize(_ft(xs), _qp(4, 7.0))
         expected = [quantize_scalar(float(np.float32(x)), 7.0, 4) for x in xs]
+        assert q.data.ravel().tolist() == expected
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(_ft([0.5, np.nan, -0.5]), _qp(8, 1.0))
+
+    def test_infinities_clamp_to_the_threshold(self):
+        q = quantize(_ft([np.inf, -np.inf, 1e30]), _qp(4, 2.0))
+        assert q.data.ravel().tolist() == [7, -7, 7]
+
+    def test_per_channel_matches_scalar_oracle(self):
+        rng = np.random.default_rng(8)
+        t = np.array([0.5, 3.0, 7.0])
+        xs = rng.uniform(-8, 8, size=(1, 4, 5, 3)).astype(np.float32)
+        q = quantize(FloatTensor(Shape4(1, 4, 5, 3), xs), _qp(8, t, PER_CHANNEL))
+        expected = [quantize_scalar(float(x), float(t[i % 3]), 8) for i, x in enumerate(xs.ravel())]
         assert q.data.ravel().tolist() == expected
 
     def test_dequantize_unit_step(self):
@@ -224,6 +241,40 @@ class TestRequantize:
             got = requantize(AccumTensor(Shape4(1, 4, 4, oc), acc), rp)
             want = requant_float64(acc, mult, shift, bias, relu)
             assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("block", [1, 5, 12, 1 << 17])
+    def test_blocks_give_the_unblocked_codes(self, monkeypatch, block):
+        # blocks of whole rows, a last partial block, and channels wider than a block
+        rng = np.random.default_rng(block)
+        oc = 7
+        acc = rng.integers(-(1 << 20), (1 << 20) + 1, size=(1, 3, 5, oc)).astype(np.int32)
+        mult = rng.integers(1 << 30, 1 << 31, size=oc)
+        shift = rng.integers(31, 45, size=oc)
+        bias = rng.integers(-1000, 1000, size=oc)
+        monkeypatch.setattr(quant, "_BLOCK", block)
+        got = requantize(AccumTensor(Shape4(1, 3, 5, oc), acc), RequantParams(mult, shift, bias, out_delta=1.0))
+        assert np.array_equal(got.data, requant_float64(acc, mult, shift, bias, False))
+
+    def test_matches_python_integers_at_the_extremes(self):
+        # every shift from 0 to 63 with int32 extremes of bias and accumulator
+        shifts = [0, 1, 31, 33, 40, 62, 63]
+        biases = [0, 1, -1, (1 << 22) - 1, 1 << 22, -(1 << 29), (1 << 31) - 1, -(1 << 31)]
+        pairs = [(s, b) for s in shifts for b in biases]
+        rng = np.random.default_rng(12)
+        oc = len(pairs)
+        mult = rng.integers(1 << 30, 1 << 31, size=oc)
+        shift = np.array([s for s, _ in pairs])
+        bias = np.array([b for _, b in pairs])
+        acc = rng.integers(-(1 << 31), 1 << 31, size=(1, 1, 6, oc), dtype=np.int64)
+        acc[0, 0, :2] = [-(1 << 31)], [(1 << 31) - 1]
+        acc = acc.astype(np.int32)
+        for relu in (False, True):
+            rp = RequantParams(mult, shift, bias, out_delta=1.0, relu=relu)
+            got = requantize(AccumTensor(Shape4(1, 1, 6, oc), acc), rp).data
+            for (i, j), a in np.ndenumerate(acc[0, 0]):
+                m, s, b = int(mult[j]), int(shift[j]), int(bias[j])
+                want = ((int(a) * m + (1 << s >> 1)) >> s) + b
+                assert got[0, 0, i, j] == min(max(want, 0 if relu else -127), 127), (s, b, int(a))
 
     def test_determinism(self):
         rng = np.random.default_rng(5)

@@ -70,3 +70,24 @@ def test_accum_int32_input_not_copied():
     assert acc.flags.writeable and np.array_equal(acc, before)
     with pytest.raises(ValueError):
         AccumTensor(Shape4(1, 1, 1, 1), np.array([2**31], dtype=np.int64))
+
+
+def test_quant_int8_input_adopted_not_copied():
+    codes = np.arange(-6, 6, dtype=np.int8).reshape(1, 2, 2, 3)
+    before = codes.copy()
+    t = QuantTensor(Shape4(1, 2, 2, 3), codes, bits=4)
+    assert np.shares_memory(t.data, codes)
+    assert not t.data.flags.writeable
+    assert codes.flags.writeable and np.array_equal(codes, before)
+
+
+@pytest.mark.parametrize("bits, dtype, value", [
+    (8, np.int8, -128), (4, np.int8, 8), (4, np.int8, -8),
+    (8, np.int16, 128), (8, np.int16, -128), (8, np.int64, 200), (8, np.int64, -200),
+    (4, np.int16, 8), (4, np.int64, -8),
+])
+def test_quant_codes_out_of_range_rejected(bits, dtype, value):
+    codes = np.zeros((1, 1, 2, 1), dtype=dtype)
+    codes[0, 0, 1, 0] = value
+    with pytest.raises(ValueError, match="outside symmetric"):
+        QuantTensor(Shape4(1, 1, 2, 1), codes, bits=bits)
