@@ -25,6 +25,11 @@ cannot change a count, the cache is counted in closed form with the same
 result as the replay (see _cache_cost): when no line is touched twice, and
 when every touched line fits the cache without an eviction.
 
+The replay (_lfsr_counts) tests residency with one index into a flag per
+line, not a scan of the set's 16 ways. The flags cover only the touched 64 KiB
+blocks, renumbered by rank: 1 KiB per touched block. The victim ways of one
+LFSR period (65,535 evictions) are listed once and cycled.
+
 A replay is one sequential loop, because all sets share one LFSR, but the
 replays of one ablation grid do not depend on each other. So when the map
 overflows the LLC (h * w * ic > 1 MiB) and more than one CPU is available,
@@ -38,6 +43,7 @@ Every count is the same on any number of CPUs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -217,9 +223,11 @@ def _cache_cost(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, in
     and a request with a miss the DRAM latency once (the misses of one
     request burst together).
 
-    The general path replays every touch through the sets (_lfsr_counts).
-    Two kinds of stream are counted in closed form instead, because no choice
-    of victim can change a count there:
+    The general path replays every touch through the sets (_lfsr_counts),
+    with a residency flag per touched line (1 KiB per touched 64 KiB block)
+    and the victim ways of one LFSR period listed up front. Two kinds of
+    stream are counted in closed form instead, because no choice of victim
+    can change a count there:
 
     * No line is touched twice (``firsts[1:] > lasts[:-1]``, as in row fills
       of whole lines): every touch is its line's first, so it misses, every
@@ -270,29 +278,59 @@ def _first_touches(firsts: np.ndarray, lengths: np.ndarray) -> tuple[int, int, i
     return int(lengths.sum()) - misses, misses, int(np.count_nonzero(missed))
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of range(s, s + n) for each (s, n) in order, as one array."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
 def _lfsr_counts(firsts: np.ndarray, lasts: np.ndarray, seed: int) -> tuple[int, int, int]:
     """(hits, misses, missed requests) of the line touches, replayed through
-    the sets with LFSR victim selection."""
+    the sets with LFSR victim selection.
+
+    A flag per line says whether it is resident: set when the line fills a
+    way, cleared when it is evicted. The flags cover the touched 64 KiB
+    blocks (``line // LLC_SETS``, each block from a request's first line to
+    its last) numbered by rank, a line keeping its set, so they cost 1 KiB
+    per touched block however sparse the addresses. The one LFSR steps once
+    per eviction and repeats after 65,535 steps, so the victims of one period
+    are listed once and cycled. Requests of no lines are dropped; the touches
+    of _CHUNK requests are walked as one list, and a request misses when any
+    of its touches does.
+    """
+    lengths = np.maximum(lasts - firsts + 1, 0)
+    firsts, lengths = firsts[lengths > 0], lengths[lengths > 0]
+    blocks = firsts // LLC_SETS
+    spans = (firsts + lengths - 1) // LLC_SETS - blocks + 1
+    touched, rank = np.unique(_ranges(blocks, spans), return_inverse=True)
+    firsts = rank[np.cumsum(spans) - spans] * LLC_SETS + firsts % LLC_SETS
+    resident = bytearray(touched.size * LLC_SETS)
     sets: list[list[int]] = [[] for _ in range(LLC_SETS)]
     state = (seed & 0xFFFF) or 0xACE1
-    hits = misses = missed_requests = 0
+    victims = []
+    for _ in range(0xFFFF):
+        state = (state >> 1) ^ (0xB400 if state & 1 else 0)
+        victims.append(state % LLC_WAYS)
+    victim = itertools.cycle(victims).__next__
+    misses = missed_requests = 0
     for start in range(0, firsts.size, _CHUNK):
-        for first, last in zip(firsts[start:start + _CHUNK].tolist(), lasts[start:start + _CHUNK].tolist()):
-            missed = False
-            for ln in range(first, last + 1):
-                ways = sets[ln % LLC_SETS]
-                if ln in ways:
-                    hits += 1
-                    continue
-                misses += 1
-                missed = True
-                if len(ways) < LLC_WAYS:
-                    ways.append(ln)
-                else:
-                    state = (state >> 1) ^ (0xB400 if state & 1 else 0)
-                    ways[state % LLC_WAYS] = ln
-            missed_requests += missed
-    return hits, misses, missed_requests
+        counts = lengths[start:start + _CHUNK]
+        touches = _ranges(firsts[start:start + _CHUNK], counts)
+        missed = bytearray(touches.size)
+        for i, ln in enumerate(touches.tolist()):
+            if resident[ln]:
+                continue
+            missed[i] = resident[ln] = 1
+            ways = sets[ln % LLC_SETS]
+            if len(ways) < LLC_WAYS:
+                ways.append(ln)
+            else:
+                way = victim()
+                resident[ways[way]] = 0
+                ways[way] = ln
+        flags = np.frombuffer(missed, np.uint8)
+        misses += int(np.count_nonzero(flags))
+        missed_requests += int(np.count_nonzero(np.maximum.reduceat(flags, np.cumsum(counts) - counts)))
+    return int(lengths.sum()) - misses, misses, missed_requests
 
 
 def _stream_key(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, bytes]:
@@ -497,14 +535,16 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
     access trace and the memory design that serves it, indexed by LLC
     setting (0 without, 1 with), so one trace serves both.
 
-    The offsets are drawn from an RNG keyed by (seed, half, operation); a
-    depthwise half runs ic -> ic channels. The LLC replacement seed is
-    seed + 1.
+    The offsets are drawn from an RNG keyed by (seed, half, operation), so
+    ``seed`` must be non-negative; a depthwise half runs ic -> ic channels.
+    The LLC replacement seed is seed + 1.
     """
     half, _, op = operation.partition("_")
     if half not in _HALVES or op not in _OPERATIONS:
         raise ValueError(f"unknown operation {operation!r}: expected HALF_OP with HALF one of "
                          f"{', '.join(_HALVES)} and OP one of {', '.join(_OPERATIONS)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     h, w, ic, oc = dims
     depthwise = half == "dw"
     spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise)

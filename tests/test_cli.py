@@ -118,6 +118,11 @@ class TestBench:
         assert r.stdout == ""
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
+    def test_negative_seed_is_named(self):
+        r = run_cli("bench", "--table2", "--seed", "-5")
+        assert r.returncode == 1
+        assert r.stderr == "error: seed must be non-negative, got -5\n"
+
 
 class TestCost:
     def test_config_c_values(self):

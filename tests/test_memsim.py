@@ -211,6 +211,10 @@ class TestAblation:
             ablation_case(operation, DIMS, 1)
         assert repr(operation) in str(caught.value)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -5$"):
+            ablation_case("dw_default", DIMS, -5)
+
     def test_sixteen_rows(self, rows):
         assert len(rows) == 16
 
@@ -272,6 +276,15 @@ def _stream(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, int, str]:
     raise ValueError(kind)
 
 
+def _loop_counts(addrs: np.ndarray, nbytes: int, seed: int) -> tuple[int, int, int]:
+    """(hits, misses, missed requests) of the scalar loop; the missed
+    requests are read back from its cycles."""
+    cycles, hits, misses = cache_cost_loop(addrs, nbytes, seed)
+    fill = memsim.LLC_HIT_CYCLES + -(-LLC_LINE // memsim.DRAM_BYTES_PER_CYCLE)
+    rest = cycles - addrs.size * memsim.ACP_REQUEST_CYCLES - hits * memsim.LLC_HIT_CYCLES - misses * fill
+    return hits, misses, rest // memsim.DRAM_LATENCY
+
+
 @pytest.fixture
 def paths(monkeypatch):
     """The counting functions _cache_cost calls in this process, in order."""
@@ -323,6 +336,57 @@ class TestCacheCostOracle:
         for addrs in (np.arange(50) * 64, np.arange(50) * 97 + 3, rng.integers(0, 1 << 21, 50)):
             a = addrs.astype(np.int64)
             assert memsim._cache_cost(a, nbytes, 1) == cache_cost_loop(a, nbytes, 1)
+
+    def test_victim_list_wraps(self, paths):
+        # one-line requests over 4x the capacity evict more often than the
+        # LFSR's period of 65,535 steps, so the replay cycles its victim list
+        addrs = np.random.default_rng(11).integers(0, 4 * CAPACITY, 8 * CAPACITY) * LLC_LINE
+        want = cache_cost_loop(addrs, LLC_LINE, 4)
+        assert want[2] - CAPACITY > 0xFFFF  # evictions: misses past the cold fills
+        assert memsim._cache_cost(addrs, LLC_LINE, 4) == want
+        assert paths == ["_lfsr_counts"]
+
+    @pytest.mark.parametrize("seed", [0, 0x10000, -1])
+    def test_seed_keeps_sixteen_bits(self, paths, seed):
+        # the LFSR takes the seed's low 16 bits, and a zero state starts at
+        # 0xACE1 instead
+        addrs = np.random.default_rng(2).integers(0, 4 * CAPACITY, 20000) * LLC_LINE + 17
+        got = memsim._cache_cost(addrs, 100, seed)
+        assert got == cache_cost_loop(addrs, 100, seed)
+        assert got == memsim._cache_cost(addrs, 100, (seed & 0xFFFF) or 0xACE1)
+        assert paths == ["_lfsr_counts"] * 2
+
+    @pytest.mark.parametrize("base", [0, -(1 << 41)])
+    def test_sparse_addresses(self, paths, base):
+        # requests 2**30 bytes apart over 2**40 bytes: a flag per line of that
+        # span would take 2**34 bytes, the touched blocks take 1 KiB each.
+        # Each request's lines fall in sets 0-4, so those sets overflow.
+        rng = np.random.default_rng(8)
+        addrs = base + rng.integers(0, 1 << 10, 3000) * (1 << 30) + rng.integers(0, 4, 3000) * LLC_LINE
+        assert memsim._cache_cost(addrs, 100, 7) == cache_cost_loop(addrs, 100, 7)
+        assert paths == ["_lfsr_counts"]
+
+    def test_requests_longer_than_a_block(self, paths):
+        # a request of 150,000 bytes spans three or four 64 KiB blocks, some
+        # of them touched by no other request's end lines, and its lines must
+        # stay consecutive after the blocks are numbered
+        rng = np.random.default_rng(13)
+        addrs = rng.choice(rng.integers(0, 1 << 26, 30), 90)
+        assert memsim._cache_cost(addrs, 150_000, 5) == cache_cost_loop(addrs, 150_000, 5)
+        assert paths == ["_lfsr_counts"]
+
+    def test_requests_of_no_lines_among_long_ones(self):
+        # requests whose last line precedes their first (no lines, or a
+        # negative count) touch nothing, wherever they lie, so mixing them
+        # into requests of 40 or 41 lines changes no count
+        rng = np.random.default_rng(12)
+        addrs = rng.integers(0, 4 * CAPACITY * LLC_LINE, 4000)
+        nbytes = 40 * LLC_LINE
+        empty = rng.integers(-(1 << 40), 1 << 40, 3000)
+        at = np.sort(rng.integers(0, addrs.size + 1, empty.size))
+        firsts = np.insert(addrs // LLC_LINE, at, empty)
+        lasts = np.insert((addrs + nbytes - 1) // LLC_LINE, at, empty - rng.integers(1, 50, empty.size))
+        assert memsim._lfsr_counts(firsts, lasts, 6) == _loop_counts(addrs, nbytes, 6)
 
     @pytest.mark.parametrize("addrs", [[], [0], [63], [12345678]])
     @pytest.mark.parametrize("nbytes", [1, 64, 65, 300, 1 << 21])
@@ -407,7 +471,7 @@ class TestReplayWorkers:
 
     def test_parent_error_waits_for_the_running_replays(self, cpus, monkeypatch):
         # the first row raises just after both replays start (each takes
-        # about 0.45 s); the error must reach the caller only after both
+        # about 0.15 s); the error must reach the caller only after both
         # workers have finished and exited
         running = []
 

@@ -157,6 +157,18 @@ def test_bench_table2_overflowing_llc_pinned(capsys):
     assert _run(capsys, argv) == (0, TABLE2_OVERFLOW_SHA)
 
 
+# stdout SHA-256 of `codenet bench --table2 --dims 96,96,200,200 --seed 3`: the
+# map overflows the LLC and its 200-byte requests start mid-line, four lines
+# each, sharing end lines with their neighbours, so the pin covers the rule
+# that a request misses when any of its lines does
+TABLE2_UNALIGNED_SHA = "42167ce9f3a9b7c7a6dc4452af09092c66cfa584c630916196bc3b417eb9c250"
+
+
+def test_bench_table2_unaligned_overflowing_llc_pinned(capsys):
+    argv = ["bench", "--table2", "--dims", "96,96,200,200", "--seed", "3"]
+    assert _run(capsys, argv) == (0, TABLE2_UNALIGNED_SHA)
+
+
 # stdout SHA-256 of `codenet bench --table2` at the two benchmark dims: the
 # paper map fills the LLC exactly, the 4x map overflows it (its whole-line row
 # fills touch no line twice, its deform rows replay LFSR victims)
