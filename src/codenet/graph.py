@@ -71,12 +71,43 @@ class OpKind:
     arity: int = 1
 
 
+# A float64 pointwise weight matrix larger than this outgrows the cache, so its
+# sums run in blocks of _PIXEL_BLOCK pixels that each read it once.
+_CACHED_W_BYTES = 2 << 20
+_PIXEL_BLOCK = 64
+
+
 def _float_conv1x1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise float64 sums, written in row bands; an einsum over a slab of
-    rows equals those rows of the whole einsum."""
+    """Pointwise float64 sums, written in row bands.
+
+    A weight matrix of at most ``_CACHED_W_BYTES`` takes one einsum per band,
+    which reads all of it for each pixel. A larger one would then come from
+    memory at every pixel, so each image's band is cut into blocks of
+    ``_PIXEL_BLOCK`` pixels, copied to (ic, pixels) and contracted by
+    ``np.einsum("ip,io->po")``; numpy runs ic outermost there, so one weight
+    row serves the whole block from cache. Both forms add the products of an
+    output in ic order onto +0, one multiply and one add each, so a band or a
+    block holds the bits of the whole einsum. With oc = 1 numpy reduces a
+    lone output in an order of its own: each pixel in the whole-band form, a
+    one-pixel block in the blocked one."""
     w = w[:, 0, 0, :].astype(np.float64)
+    n, _, _, ic = x.shape
     out = np.empty((*x.shape[:3], w.shape[1]), dtype=np.float64)
-    ops._in_bands(x.shape[1], lambda a, b: np.einsum("nhwi,io->nhwo", x[:, a:b], w, out=out[:, a:b]))
+
+    def band(a: int, b: int) -> None:
+        if w.nbytes <= _CACHED_W_BYTES:
+            np.einsum("nhwi,io->nhwo", x[:, a:b], w, out=out[:, a:b])
+            return
+        cols = np.empty((ic, _PIXEL_BLOCK))
+        for k in range(n):
+            xs, ys = x[k, a:b].reshape(-1, ic), out[k, a:b].reshape(-1, w.shape[1])
+            for p in range(0, len(xs), _PIXEL_BLOCK):
+                q = min(p + _PIXEL_BLOCK, len(xs))
+                block = cols[:, :q - p]
+                block[...] = xs[p:q].T
+                np.einsum("ip,io->po", block, w, out=ys[p:q])
+
+    ops._in_bands(x.shape[1], band)
     return out
 
 
@@ -483,6 +514,12 @@ def run_inference(g: NetworkGraph, image: QuantTensor) -> tuple[FloatTensor, Flo
     return FloatTensor(yq.shape, y), FloatTensor(sq.shape, s), FloatTensor(oq.shape, o)
 
 
+def _abs_max(arr: np.ndarray) -> float:
+    """max |arr| from its max and min, so no |arr| copy is made: NaN when arr
+    holds one, inf when it holds ±inf and 0 when it is empty."""
+    return float(np.maximum(arr.max(), -arr.min())) if arr.size else 0.0
+
+
 def run_inference_float(g: NetworkGraph, image: FloatTensor,
                         stats: dict[str, float] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float reference executor; mirrors the integer path op for op.
@@ -493,17 +530,20 @@ def run_inference_float(g: NetworkGraph, image: FloatTensor,
     Deformable offsets are rounded and clipped exactly as in deployment, so
     the two paths differ only by quantization error. When ``stats`` is given
     it accumulates the max absolute value seen at every conv output (used for
-    activation calibration).
+    activation calibration), taken as ``_abs_max`` without an |x| copy of
+    the output.
 
     The nodes run one after another on the calling thread, a pool thread too;
     each conv hands a row band to every idle thread of the band pool
     (``ops._in_bands``), and every output element is computed the same way
-    however the rows are banded.
+    however the rows are banded: 1x1 sums as ``_float_conv1x1`` says, 3x3
+    sums tap by tap in ``ops._tap_sums``, from the float32 input widened in
+    each product.
     """
 
     def record(name: str, arr: np.ndarray) -> np.ndarray:
         if stats is not None:
-            stats[name] = max(stats.get(name, 0.0), float(np.abs(arr).max()) if arr.size else 0.0)
+            stats[name] = max(stats.get(name, 0.0), _abs_max(arr))
         return arr
 
     def run(n: LayerNode, xs: list[np.ndarray]):

@@ -169,9 +169,9 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
         macs=macs,
         deformable=off is not None,
         square=off is not None and off.mode == SQUARE,
-        in_addr=addr[valid].astype(np.int64),
-        in_row=iy[valid].astype(np.int64),
-        in_out_row=out_rows[valid].astype(np.int64),
+        in_addr=addr[valid].astype(np.int64, copy=False),
+        in_row=iy[valid].astype(np.int64, copy=False),
+        in_out_row=out_rows[valid].astype(np.int64, copy=False),
         in_bytes=ic,
         off_bytes_per_pos=0 if off is None else offset_channels(off.mode),
         weight_bytes=(weights + 1) // 2,
@@ -529,6 +529,15 @@ def _ablation_mem(op: str, llc: bool, llc_seed: int) -> MemConfig:
     return MemConfig(design=design, line_buffer_rows=rows, llc_routed=llc, llc_seed=llc_seed)
 
 
+def _check_grid(dims: tuple[int, int, int, int], seed: int) -> None:
+    """What an ablation case rejects before it draws a trace: a negative seed
+    and a dimension below 1."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if any(d < 1 for d in dims):
+        raise ValueError("dims must be positive")
+
+
 def ablation_case(operation: str, dims: tuple[int, int, int, int],
                   seed: int) -> tuple[Trace, tuple[MemConfig, MemConfig]]:
     """The ablation recipe for one operation such as ``"dw_square"``: its
@@ -543,8 +552,7 @@ def ablation_case(operation: str, dims: tuple[int, int, int, int],
     if half not in _HALVES or op not in _OPERATIONS:
         raise ValueError(f"unknown operation {operation!r}: expected HALF_OP with HALF one of "
                          f"{', '.join(_HALVES)} and OP one of {', '.join(_OPERATIONS)}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_grid(dims, seed)
     h, w, ic, oc = dims
     depthwise = half == "dw"
     spec = ConvSpec(kernel=3, stride=1, depthwise=depthwise)
@@ -571,8 +579,10 @@ def ablation_table(dims: tuple[int, int, int, int], seed: int) -> list[AblationR
     Replays of the LLC rows run on a process pool (see the module docstring);
     the rows are priced here, in order, with the same counts on any number
     of CPUs. A worker's exception reaches the caller as itself, a dead worker
-    raises BrokenProcessPool, and no worker outlives the call.
+    raises BrokenProcessPool, and no worker outlives the call. A bad seed or
+    dims raise before the pool starts.
     """
+    _check_grid(dims, seed)
     operations = _replay_operations(dims)
     if operations:
         import multiprocessing  # loaded only by a grid that replays in workers

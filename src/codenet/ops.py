@@ -221,15 +221,15 @@ def _tap_sums(data: np.ndarray, w: np.ndarray, spec: ConvSpec, dtype: type,
     gathers every tap into one (rows, taps·ic) column matrix and takes one
     matmul, exact under the bound of ``_acc_dtype``. With an offset field
     each tap reads ``_sample`` at its ``tap_positions`` instead of a slice of
-    the padded map. Integer codes are padded in their own dtype and widen in
-    the products."""
+    the padded map. The map is padded, or gathered, in its own dtype (int8
+    codes, or the float32 input of the float reference) and widens exactly
+    in the products."""
     n, h, wd, ic = data.shape
     oh, ow = spec.out_hw(h, wd)
     pad, st = spec.kernel // 2, spec.stride
     taps = list(np.ndindex(spec.kernel, spec.kernel))
     if off is None:
-        codes = data.dtype.kind == "i"
-        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=data.dtype if codes else dtype)
+        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, ic), dtype=data.dtype)
         xp[:, pad:pad + h, pad:pad + wd, :] = data
     else:
         iy, ix = tap_positions(off, spec, oh, ow)

@@ -153,6 +153,17 @@ def int_conv1x1_loop(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
+def conv1x1_rank1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise float64 sums as in-order rank-1 updates: every output starts
+    at +0 and adds x[..., i] * w[i, 0, 0, o] for i = 0, 1, ..., one float64
+    multiply and one add each."""
+    w = w[:, 0, 0, :].astype(np.float64)
+    acc = np.zeros((*x.shape[:-1], w.shape[1]))
+    for i in range(w.shape[0]):
+        acc += x[..., i:i + 1] * w[i]
+    return acc
+
+
 def scalar_offsets(n: LayerNode, x: np.ndarray) -> OffsetField:
     """Offset field of deformable node ``n`` on codes ``x``, one value at a
     time: the offset 1x1 sums, then either their requantized codes times the

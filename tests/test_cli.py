@@ -107,8 +107,8 @@ class TestBench:
         ("--op", "dw_bogus"),
         ("--op", "dw_square", "--dims", "0,64,256,256"),
         ("--op", "dw_deform", "--seed", "-1"),
-        # these two overflow the LLC, so the grid starts its replay pool
-        # before the bad seed or dims fail
+        # these two overflow the LLC, so the grid would replay on its pool;
+        # it rejects the seed and the dims before the pool starts
         ("--table2", "--dims", "128,128,256,256", "--seed", "-1"),
         ("--table2", "--dims=-128,-128,256,256"),
     ])

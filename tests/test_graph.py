@@ -16,7 +16,7 @@ from codenet.quant import QuantParams, RequantParams, quantize
 from codenet.tensor import AccumTensor, FloatTensor, QuantTensor, Shape4
 
 from conftest import make_calib_images, make_tiny_graph, param_digest
-from oracles import conv2d_loop, scalar_network
+from oracles import conv1x1_rank1, conv2d_loop, scalar_network
 
 
 def _quant_image(g, image_f):
@@ -546,6 +546,44 @@ class TestCalibration:
             tracemalloc.stop()
         assert peak < 0.5 * outputs
 
+    def test_float_pass_peak_holds(self, monkeypatch):
+        # one band on the calling thread, so the peak does not depend on the
+        # CPU count; measured at 6,990,630 bytes (8,000,974 while the 3x3
+        # sums padded float32 maps in float64 and each maximum took an |x|
+        # copy), so a full-size copy of a conv output cannot come back unseen
+        monkeypatch.setattr(ops, "_CPUS", 1)
+        g = build_codenet("a")
+        img = make_calib_images(g.resolution, count=1)[0]
+        tracemalloc.start()
+        try:
+            run_inference_float(g, img, stats={})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 6_990_630
+
+    @pytest.mark.parametrize("values,want", [
+        ([2.0, -5.0, 1.0], 5.0), ([1.0, np.nan, -3.0], np.nan), ([np.nan], np.nan),
+        ([np.inf, 1.0], np.inf), ([-np.inf, 1.0], np.inf), ([-np.inf, np.inf], np.inf),
+        ([0.0, -0.0], 0.0), ([-0.0, -0.0], 0.0), ([], 0.0)])
+    def test_abs_max(self, values, want):
+        got = G._abs_max(np.array(values))
+        assert np.isnan(got) if np.isnan(want) else got == want
+
+    def test_abs_max_equals_the_max_of_the_absolute_values(self):
+        x = np.random.default_rng(5).standard_normal((3, 9, 7, 5)) * 1e150
+        x[0, 0, 0] = -0.0
+        for arr in (x, x[..., :2], -np.abs(x), np.abs(x)):
+            assert G._abs_max(arr) == float(np.abs(arr).max())
+        big = np.full((128, 128, 116), -2.0)  # the size of config d's s2d_b2pw1 output
+        tracemalloc.start()
+        try:
+            assert G._abs_max(big) == 2.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes / 100  # no |x| copy
+
     def test_float_conv_sums_are_new_arrays(self):
         # run_inference_float adds bias and relu to them in place
         g = make_tiny_graph(seed=3, deform=True)
@@ -581,6 +619,57 @@ class TestCalibration:
         assert set(sa) == {"stem", "pw", "dw", "dw/off", "head_y", "head_s", "head_o"}
         assert sa != sb
         assert both == {k: max(sa[k], sb[k]) for k in sa}
+
+
+def _pointwise_inputs(rng, n, h, w, ic, oc):
+    """A channel slice of a wider map, as split_half hands on, with exact
+    zeros of both signs, magnitudes over 300 decades and one pixel of -0.0;
+    float32 weights with zeros of both signs."""
+    wide = rng.standard_normal((n, h, w, ic + 3)) * 10.0 ** rng.integers(-150, 150, (n, h, w, ic + 3))
+    wide[rng.random(wide.shape) < 0.2] = -0.0
+    wide[rng.random(wide.shape) < 0.1] = 0.0
+    wide[0, 0, 0] = -0.0
+    wt = (rng.standard_normal((ic, 1, 1, oc)) * 10.0 ** rng.integers(-3, 3, (ic, 1, 1, oc))).astype(np.float32)
+    wt[rng.random(wt.shape) < 0.1] = -0.0
+    return wide[..., 3:], wt
+
+
+class TestPointwiseSums:
+    """graph._float_conv1x1 sums every output in ic order onto +0: one einsum
+    per row band while the float64 weights fit _CACHED_W_BYTES, blocks of
+    _PIXEL_BLOCK pixels past it. Both must give the bits of in-order rank-1
+    updates for any band count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("shape", [
+        (1, 3, 7, 1100, 256),    # 2.15 MiB of weights, past the rule; 21 pixels, under one block
+        (2, 12, 12, 1100, 256),  # 144 pixels an image: a remainder of 16 in one band, 8 in two
+        (2, 9, 7, 6, 5),         # weights far under the rule
+        (1, 16, 16, 232, 464),
+    ])
+    def test_rank1_bits(self, monkeypatch, shape, cpus):
+        monkeypatch.setattr(ops, "_CPUS", cpus)
+        x, wt = _pointwise_inputs(np.random.default_rng(41), *shape)
+        seen = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda sub, *a, **k: seen.append(sub) or einsum(sub, *a, **k))
+        got = G._float_conv1x1(x, wt)
+        blocked = 8 * wt.size > G._CACHED_W_BYTES
+        assert set(seen) == {"ip,io->po" if blocked else "nhwi,io->nhwo"}
+        assert np.array_equal(got.view(np.int64), conv1x1_rank1(x, wt).view(np.int64))
+
+    @pytest.mark.parametrize("ic,oc,cached", [
+        (1, 7, None), (1, 7, 0), (1, 1, None), (1, 1, 0),
+        # one output channel only in blocks of two pixels or more: numpy
+        # reduces a lone output in an order of its own
+        (300, 1, 0)])
+    def test_one_channel(self, monkeypatch, ic, oc, cached):
+        monkeypatch.setattr(ops, "_CPUS", 1)
+        if cached is not None:
+            monkeypatch.setattr(G, "_CACHED_W_BYTES", cached)
+        x, wt = _pointwise_inputs(np.random.default_rng(42), 2, 7, 10, ic, oc)  # a block and 6 pixels
+        got = G._float_conv1x1(x, wt)
+        assert np.array_equal(got.view(np.int64), conv1x1_rank1(x, wt).view(np.int64))
 
 
 class TestPassThrough:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import subprocess
@@ -446,10 +447,22 @@ class TestReplayWorkers:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         ablation_table((64, 64, 256, 256), 1)
 
-    def test_bad_seed_raises_with_no_child_left(self, cpus):
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def pool(*args, **kwargs):
+            raise AssertionError("a replay pool was built")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+
+    def test_bad_seed_raises_with_no_child_left(self, cpus, no_pool):
         cpus(2)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             ablation_table(MAP4X, seed=-1)
+        assert multiprocessing.active_children() == []
+
+    def test_bad_dims_raise_with_no_child_left(self, cpus, no_pool):
+        cpus(2)
+        with pytest.raises(ValueError, match="^dims must be positive$"):
+            ablation_table((-128, -128, 256, 256), 1)  # h * w * ic overflows the LLC
         assert multiprocessing.active_children() == []
 
     def test_failing_worker_raises_in_the_caller(self, cpus, monkeypatch):
