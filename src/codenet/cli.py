@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=(memsim.BASELINE_DRAM, memsim.LLC, memsim.LINE_BUFFER,
                             memsim.LINE_BUFFER_MULTIPORT))
     b.add_argument("--llc", type=int, choices=(0, 1), default=0)
-    b.add_argument("--rows", type=int, help="line-buffer rows of --design (default 15)")
+    b.add_argument("--rows", type=int,
+                   help=f"line-buffer rows of --design (default {memsim.MemConfig.line_buffer_rows})")
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--table2", action="store_true", help="emit the full ablation grid")
     b.set_defaults(func=_cmd_bench)

@@ -108,13 +108,8 @@ def pack_i4(codes: np.ndarray) -> bytes:
 
 def unpack_i4(payload: bytes, count: int) -> np.ndarray:
     raw = np.frombuffer(payload, dtype=np.uint8)
-    lo = raw & 0xF
-    hi = raw >> 4
-    nib = np.empty(raw.size * 2, dtype=np.uint8)
-    nib[0::2] = lo
-    nib[1::2] = hi
-    vals = nib[:count].astype(np.int16)
-    return np.where(vals >= 8, vals - 16, vals).astype(np.int8)
+    high = np.stack([raw << 4, raw & 0xF0], axis=-1).reshape(-1)[:count]  # each code in a high nibble
+    return high.view(np.int8) >> 4  # the arithmetic shift extends the sign
 
 
 _DTYPES = {DTYPE_F32: np.float32, DTYPE_I8: np.int8, DTYPE_I32: np.int32}
@@ -171,7 +166,7 @@ def qparams_chunk(name: str, wq: QuantParams | None, rp: RequantParams) -> Chunk
     return Chunk(CHUNK_QPARAMS, name, b"".join(parts))
 
 
-def parse_qparams(chunk: Chunk) -> tuple[QuantParams | None, RequantParams | None]:
+def parse_qparams(chunk: Chunk) -> tuple[QuantParams | None, RequantParams]:
     p = chunk.payload
     try:
         bits, gran, ngroups = struct.unpack_from("<BBI", p, 0)
@@ -183,18 +178,18 @@ def parse_qparams(chunk: Chunk) -> tuple[QuantParams | None, RequantParams | Non
             wq = QuantParams(bits, PER_CHANNEL if gran else PER_LAYER, t.copy())
         has_rp, n = struct.unpack_from("<BI", p, pos)
         pos += 5
-        rp = None
-        if has_rp:
-            mult = np.frombuffer(p, dtype="<u4", count=n, offset=pos).astype(np.int64)
-            pos += 4 * n
-            shift = np.frombuffer(p, dtype="<u1", count=n, offset=pos).astype(np.int64)
-            pos += n
-            bias = np.frombuffer(p, dtype="<i4", count=n, offset=pos).astype(np.int64)
-            pos += 4 * n
-            out_delta, relu = struct.unpack_from("<dB", p, pos)
-            rp = RequantParams(mult, shift, bias, out_delta=out_delta, relu=bool(relu))
+        if has_rp != 1:
+            raise ValueError(f"requant flag is {has_rp}, not 1")
+        mult = np.frombuffer(p, dtype="<u4", count=n, offset=pos).astype(np.int64)
+        pos += 4 * n
+        shift = np.frombuffer(p, dtype="<u1", count=n, offset=pos).astype(np.int64)
+        pos += n
+        bias = np.frombuffer(p, dtype="<i4", count=n, offset=pos).astype(np.int64)
+        pos += 4 * n
+        out_delta, relu = struct.unpack_from("<dB", p, pos)
+        rp = RequantParams(mult, shift, bias, out_delta=out_delta, relu=bool(relu))
     except (struct.error, ValueError) as e:
-        # short payloads, and parameters the quantizer types reject
+        # short payloads, a requant flag other than 1, and parameters the quantizer types reject
         raise ContainerError(f"quantization parameters '{chunk.name}': {e}") from e
     return wq, rp
 
@@ -230,11 +225,8 @@ def save_graph(path: str, g: NetworkGraph) -> None:
         if not n.is_conv:
             continue
         if g.precision == "fp32":
-            chunks.append(tensor_chunk(n.name + "/w", n.w_fp, DTYPE_F32))
-            chunks.append(tensor_chunk(n.name + "/b", n.b_fp, DTYPE_F32))
-            if n.deformable:
-                chunks.append(tensor_chunk(n.name + "/off_w", n.off_w_fp, DTYPE_F32))
-                chunks.append(tensor_chunk(n.name + "/off_b", n.off_b_fp, DTYPE_F32))
+            keys = ("w", "b", "off_w", "off_b") if n.deformable else ("w", "b")
+            chunks += [tensor_chunk(f"{n.name}/{k}", getattr(n, k + "_fp"), DTYPE_F32) for k in keys]
         else:
             chunks.append(tensor_chunk(n.name + "/w", n.w_q.data, DTYPE_I4))
             chunks.append(qparams_chunk(n.name, n.w_q.qparams, n.rp))
@@ -293,9 +285,8 @@ def load_graph(path: str) -> NetworkGraph:
 
     def qparams(name: str, channels: int) -> tuple[QuantParams | None, RequantParams]:
         wq, rp = parse_qparams(chunk(CHUNK_QPARAMS, name))
-        if rp is None or rp.num_channels != channels:
-            have = rp.num_channels if rp else 0
-            raise ValueError(f"requant parameters '{name}' cover {have} channels, not {channels}")
+        if rp.num_channels != channels:
+            raise ValueError(f"requant parameters '{name}' cover {rp.num_channels} channels, not {channels}")
         return wq, rp
 
     try:

@@ -9,6 +9,7 @@ so any platform or regression drift is caught bit for bit.
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from . import ops
 from .container import (CHUNK_DESCRIPTOR, CHUNK_QPARAMS, CHUNK_TENSOR, Chunk,
                         DTYPE_I4, DTYPE_I8, DTYPE_I32, parse_qparams, parse_tensor,
                         qparams_chunk, read_container, tensor_chunk, write_container)
+from .graph import OFFSET_RANGE
 from .quant import RequantParams
 from .tensor import AccumTensor, QuantTensor, Shape4, symmetric_bounds
 
@@ -107,30 +109,29 @@ def _build_case(op: str, seed: int) -> tuple[dict[str, np.ndarray], RequantParam
         w = _random_codes(rng, (ic, 1, 1, oc), 4)
         rp = _random_rp(rng, oc, relu)
         sums, tensors = ref_conv1x1(x, w), {"x": x, "w": w}
-    elif op in ("dw3x3", "dw3x3_s2"):
-        stride = 2 if op.endswith("s2") else 1
-        h, wd, c = 7, 6, 10
+    else:  # depthwise, regular or deformable
+        h, wd, c = (7, 6, 10) if op.startswith("dw3x3") else (6, 6, 8)
         x = _random_codes(rng, (1, h, wd, c), 8)
         w = _random_codes(rng, (1, 3, 3, c), 4)
         rp = _random_rp(rng, c, relu)
-        sums, tensors = ref_dw3x3(x, w, stride), {"x": x, "w": w}
-    else:
-        h, wd, c = 6, 6, 8
-        x = _random_codes(rng, (1, h, wd, c), 8)
-        w = _random_codes(rng, (1, 3, 3, c), 4)
-        rp = _random_rp(rng, c, relu)
-        if op == "deform_square":
-            off = ops.OffsetField(ops.SQUARE, rng.integers(0, 8, size=(1, h, wd)), lo=0, hi=7)
-        else:
-            off = ops.OffsetField(ops.BOUNDED_INT, rng.integers(-8, 8, size=(1, h, wd, 9, 2)),
-                                  lo=-8, hi=7)
-        sums = ref_dw3x3(x, w, off=off)
-        tensors = {"x": x, "w": w, "off": off.data.astype(np.int32),
-                   "off_mode": np.array([1 if op == "deform_square" else 0], dtype=np.int32)}
+        tensors, off = {"x": x, "w": w}, None
+        if op.startswith("deform"):
+            square = op == "deform_square"
+            off = _offset_field(square, lambda lo, hi, taps: rng.integers(lo, hi + 1, size=(1, h, wd, *taps)))
+            tensors.update(off=off.data.astype(np.int32), off_mode=np.array([square], dtype=np.int32))
+        sums = ref_dw3x3(x, w, 2 if op.endswith("s2") else 1, off)
     expected = ref_requantize(sums, rp)
     if not np.array_equal(expected, _replay(op, tensors, rp)):
         raise AssertionError(f"golden generation: kernel disagrees with reference for {op}")
     return tensors, rp, expected
+
+
+def _offset_field(square: bool, values: Callable[[int, int, tuple[int, ...]], np.ndarray]) -> ops.OffsetField:
+    """A deformable case's offsets ``values(lo, hi, taps)``: per position, a half-width
+    in [0, hi] if ``square``, else (9, 2) tap pairs in [lo, hi] = OFFSET_RANGE."""
+    lo, hi = OFFSET_RANGE
+    mode, lo, taps = (ops.SQUARE, 0, ()) if square else (ops.BOUNDED_INT, lo, (9, 2))
+    return ops.OffsetField(mode, values(lo, hi, taps), lo=lo, hi=hi)
 
 
 def _qt(codes: np.ndarray, bits: int) -> QuantTensor:
@@ -163,19 +164,14 @@ def _replay(op: str, tensors: dict[str, np.ndarray], rp: RequantParams) -> np.nd
     if op == "requantize":
         acc = tensors["acc"]
         return ops.requantize(AccumTensor(Shape4(*acc.shape), acc), rp).data
+    x, w = _qt(tensors["x"], 8), _qt(tensors["w"], 4)
     if op == "conv1x1":
-        return ops.conv1x1_q(_qt(tensors["x"], 8), _qt(tensors["w"], 4), rp).data
-    if op in ("dw3x3", "dw3x3_s2"):
-        stride = 2 if op.endswith("s2") else 1
-        return ops.dw3x3_q(_qt(tensors["x"], 8), _qt(tensors["w"], 4),
-                           ops.ConvSpec(3, stride, True), rp).data
-    square = bool(tensors["off_mode"][0])
-    if square:
-        off = ops.OffsetField(ops.SQUARE, tensors["off"].astype(np.int64), lo=0, hi=7)
-    else:
-        off = ops.OffsetField(ops.BOUNDED_INT, tensors["off"].astype(np.int64), lo=-8, hi=7)
-    return ops.deform_conv_q(_qt(tensors["x"], 8), _qt(tensors["w"], 4), off,
-                             ops.ConvSpec(3, 1, True), rp).data
+        return ops.conv1x1_q(x, w, rp).data
+    spec = ops.ConvSpec(3, 2 if op.endswith("s2") else 1, True)
+    if op.startswith("dw3x3"):
+        return ops.dw3x3_q(x, w, spec, rp).data
+    off = _offset_field(bool(tensors["off_mode"][0]), lambda *_: tensors["off"].astype(np.int64))
+    return ops.deform_conv_q(x, w, off, spec, rp).data
 
 
 def verify(directory: str) -> list[str]:

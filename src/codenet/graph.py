@@ -609,16 +609,18 @@ def quantize_graph(
     the calling thread) and band their conv rows on idle pool threads; each
     pass does the arithmetic of an unbanded pass and the maxima are folded in
     image order, so banding does not change the result. Every fp32 parameter
-    must be finite. A value's delta is the input's, or its scale group's
-    largest conv maximum over 127."""
+    and image value must be finite. A value's delta is the input's, or its
+    scale group's largest conv maximum over 127."""
     if g.precision != "fp32":
         raise GraphError(f"graph is {g.precision}, not fp32")
     if not calib_images:
         raise GraphError("calibration needs at least one image")
     if offset_path not in ops.OFFSET_PATHS:
         raise GraphError(f"unknown offset path {offset_path!r}; expected one of {ops.OFFSET_PATHS}")
-    for img in calib_images:
+    for k, img in enumerate(calib_images):
         _check_image(g, img.shape)
+        if not np.isfinite(img.data).all():
+            raise GraphError(f"calibration image {k} holds a value that is not finite")
     for n in g.nodes:
         try:
             n.check_finite()

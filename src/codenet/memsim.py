@@ -19,6 +19,9 @@ Four designs are modeled:
                          guarantee taps spread over three rows, so three
                          reads per cycle are conflict free)
 
+A line buffer of ops.window_rows rows serves every read: hi - lo + 3 for
+bounded offsets in [lo, hi], 2 hi + 1 for square ones, 3 without offsets.
+
 The cache uses pseudo-random replacement driven by a seeded 16-bit LFSR, so
 identical seeds give identical hit/miss sequences. Where the LFSR's choice
 cannot change a count, the cache is counted in closed form with the same
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import ops
 from .ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec, OffsetField,
-                  offset_channels, tap_positions)
+                  offset_channels, tap_positions, window_rows)
 
 BASELINE_DRAM = "baseline_dram"
 LLC = "llc"
@@ -72,12 +75,13 @@ ACP_REQUEST_CYCLES = 35     # coherency-port overhead per cached request
 LLC_LINE = 64               # a 1 MiB, 16-way LLC with 64-byte lines
 LLC_WAYS = 16
 LLC_SETS = (1 << 20) // (LLC_LINE * LLC_WAYS)
+ABLATION_BOUND = 7  # the ablation's offsets are drawn uniformly from [0, ABLATION_BOUND]
 
 
 @dataclass(frozen=True)
 class MemConfig:
     design: str = LINE_BUFFER
-    line_buffer_rows: int = 15
+    line_buffer_rows: int = window_rows(SQUARE, 0, ABLATION_BOUND)
     llc_routed: bool = False     # line-buffer fills go through the cache port
     llc_seed: int = 1            # seed of the LLC's replacement LFSR
 
@@ -134,8 +138,7 @@ class Trace:
     deformable: bool
     square: bool
     in_addr: np.ndarray       # int64 byte addresses
-    in_row: np.ndarray        # sampled input row per access
-    in_out_row: np.ndarray    # output row driving the access
+    in_row_lead: np.ndarray   # sampled input row minus the output row, per access
     in_bytes: int             # bytes per input access (= ic)
     off_bytes_per_pos: int    # 18 free / 1 square / 0 none
     weight_bytes: int
@@ -158,7 +161,6 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
     if off is not None and off.spatial != (1, oh, ow):
         raise ValueError("offset field must cover the output with batch 1")
     iy, ix = (p[0] for p in tap_positions(off, spec, oh, ow))
-    out_rows = np.broadcast_to(np.arange(oh)[:, None, None], iy.shape)
     valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
     addr = (iy * w + ix) * ic
     return Trace(
@@ -170,8 +172,7 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
         deformable=off is not None,
         square=off is not None and off.mode == SQUARE,
         in_addr=addr[valid].astype(np.int64, copy=False),
-        in_row=iy[valid].astype(np.int64, copy=False),
-        in_out_row=out_rows[valid].astype(np.int64, copy=False),
+        in_row_lead=(iy - np.arange(oh)[:, None, None])[valid].astype(np.int64, copy=False),
         in_bytes=ic,
         off_bytes_per_pos=0 if off is None else offset_channels(off.mode),
         weight_bytes=(weights + 1) // 2,
@@ -407,9 +408,9 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
     else:
         # Line buffer: every input row is streamed into the buffer exactly
         # once; reads that fall behind the resident window go back to DRAM.
-        reach = int((trace.in_row - trace.in_out_row).max()) if trace.in_row.size else 0
-        window_lo = trace.in_out_row + reach - mem.line_buffer_rows
-        resident = trace.in_row > window_lo
+        lead = trace.in_row_lead
+        reach = int(lead.max()) if lead.size else 0
+        resident = lead > reach - mem.line_buffer_rows
         violations = int((~resident).sum())
         buffer_hits = int(resident.sum())
         row_bytes = trace.in_bytes * trace.in_w
@@ -485,7 +486,8 @@ def roofline(spec: ConvSpec, dims: tuple[int, int, int, int] | None = None) -> R
 
 _OPERATIONS = ("default", "deform", "bound", "square")
 _HALVES = ("full", "dw")
-ABLATION_BOUND = 7  # offsets drawn uniformly from [0, ABLATION_BOUND]
+# The offset mode of each operation that a line buffer serves (deform samples anywhere).
+_BUFFERED = {"default": None, "bound": BOUNDED_INT, "square": SQUARE}
 
 
 @dataclass(frozen=True)
@@ -503,28 +505,24 @@ def _ablation_offsets(op: str, oh: int, ow: int, rng: np.random.Generator) -> Of
     unbounded deform row samples arbitrary pixels anywhere in the map, which
     is what makes its access pattern irregular.
     """
-    if op == "default":
+    if op == "deform":  # displacement = random target pixel minus the regular tap position
+        ty = rng.integers(0, oh, size=(1, oh, ow, 9))
+        tx = rng.integers(0, ow, size=(1, oh, ow, 9))
+        base_y, base_x = tap_positions(None, ConvSpec(), oh, ow)
+        return OffsetField(FREE_INT, np.stack([ty - base_y, tx - base_x], axis=-1))
+    mode = _BUFFERED[op]
+    if mode is None:
         return None
-    if op == "square":
-        d = rng.integers(0, ABLATION_BOUND + 1, size=(1, oh, ow))
-        return OffsetField(SQUARE, d, lo=0, hi=ABLATION_BOUND)
-    if op == "bound":
-        vals = rng.integers(0, ABLATION_BOUND + 1, size=(1, oh, ow, 9, 2))
-        return OffsetField(BOUNDED_INT, vals, lo=0, hi=ABLATION_BOUND)
-    # deform: displacement = random target pixel minus the regular tap position
-    ty = rng.integers(0, oh, size=(1, oh, ow, 9))
-    tx = rng.integers(0, ow, size=(1, oh, ow, 9))
-    base_y, base_x = tap_positions(None, ConvSpec(), oh, ow)
-    vals = np.stack([ty - base_y, tx - base_x], axis=-1)
-    return OffsetField(FREE_INT, vals)
+    shape = (1, oh, ow) if mode == SQUARE else (1, oh, ow, 9, 2)
+    return OffsetField(mode, rng.integers(0, ABLATION_BOUND + 1, size=shape), lo=0, hi=ABLATION_BOUND)
 
 
 def _ablation_mem(op: str, llc: bool, llc_seed: int) -> MemConfig:
+    """DRAM or the LLC for deform, else a line buffer of ops.window_rows rows for
+    offsets in [0, N = ABLATION_BOUND]: 3 for default, N + 3 for bound, 2N + 1 for square."""
     if op == "deform":
         return MemConfig(design=LLC if llc else BASELINE_DRAM, llc_seed=llc_seed)
-    # Bounded offsets in [0, N] plus the kernel taps span 2N + 1 input rows
-    # around the fill cursor, hence the 15-row buffer for N = 7.
-    rows = 3 if op == "default" else 2 * ABLATION_BOUND + 1
+    rows = window_rows(_BUFFERED[op], 0, ABLATION_BOUND)
     design = LINE_BUFFER_MULTIPORT if op == "square" else LINE_BUFFER
     return MemConfig(design=design, line_buffer_rows=rows, llc_routed=llc, llc_seed=llc_seed)
 

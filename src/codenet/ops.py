@@ -172,6 +172,16 @@ def tap_positions(off: OffsetField | None, spec: ConvSpec, oh: int, ow: int) -> 
     return (cy + taps[:, 0]) + off.data[..., 0], (cx + taps[:, 1]) + off.data[..., 1]
 
 
+def window_rows(mode: str | None, lo: int, hi: int) -> int:
+    """Input rows that one output row's 3x3 windows read with offsets of
+    ``mode`` clamped into [lo, hi] (None: no offsets): the span of the tap rows
+    of the fields at the range's two ends, each tap's row being monotone in its offset."""
+    ends = [None] if mode is None else [
+        round_clip_offsets(np.full((1, 1, 1, offset_channels(mode)), v), mode, lo, hi) for v in (lo, hi)]
+    rows = np.concatenate([tap_positions(off, ConvSpec(), 1, 1)[0].ravel() for off in ends])
+    return int(rows.max() - rows.min()) + 1
+
+
 # ---------------------------------------------------------------------------
 # Float reference path
 # ---------------------------------------------------------------------------

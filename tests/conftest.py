@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
 from codenet import ops
+from codenet.container import CHUNK_QPARAMS, Chunk, read_container, write_container
 from codenet.graph import LayerNode, NetworkGraph, quantize_graph
 from codenet.tensor import FloatTensor, Shape4
 
@@ -55,6 +56,18 @@ def make_calib_images(resolution: int, count: int = 2, seed: int = 5) -> list[Fl
     return [FloatTensor(Shape4(1, resolution, resolution, 3),
                         rng.uniform(0, 1, size=(1, resolution, resolution, 3)).astype(np.float32))
             for _ in range(count)]
+
+
+def set_requant_flag(path, name: str, flag: int) -> None:
+    """Rewrite the has-requant byte of the qparams chunk ``name`` in the
+    container at ``path``; it follows the weight header and thresholds."""
+    chunks = read_container(str(path))
+    for k, c in enumerate(chunks):
+        if (c.kind, c.name) == (CHUNK_QPARAMS, name):
+            bits, ngroups = c.payload[0], int.from_bytes(c.payload[2:6], "little")
+            pos = 6 + (8 * ngroups if bits else 0)
+            chunks[k] = Chunk(c.kind, c.name, c.payload[:pos] + bytes([flag]) + c.payload[pos + 1:])
+    write_container(str(path), chunks)
 
 
 def param_digest(gq: NetworkGraph) -> str:

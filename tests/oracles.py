@@ -120,39 +120,6 @@ def normalize_factor_scalar(factor: float) -> tuple[int, int]:
     return m, s
 
 
-def int_dw_deform_loop(x: np.ndarray, w: np.ndarray, disp_y: np.ndarray,
-                       disp_x: np.ndarray) -> np.ndarray:
-    """Integer depthwise gather-accumulate; loops positions and taps, with the
-    channel products vectorized for tolerable runtime. ``disp_*`` hold the
-    absolute per-tap displacement from the window center, shape (h,w,9)."""
-    n, h, wd, c = x.shape
-    assert n == 1
-    acc = np.zeros((h, wd, c), dtype=np.int64)
-    for y in range(h):
-        for xx in range(wd):
-            for t in range(9):
-                iy = y + int(disp_y[y, xx, t])
-                ix = xx + int(disp_x[y, xx, t])
-                if 0 <= iy < h and 0 <= ix < wd:
-                    acc[y, xx, :] += x[0, iy, ix, :].astype(np.int64) * w[0, t // 3, t % 3, :].astype(np.int64)
-    return acc[None]
-
-
-def int_conv1x1_loop(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n, h, wd, ic = x.shape
-    oc = w.shape[3]
-    acc = np.zeros((n, h, wd, oc), dtype=np.int64)
-    for b in range(n):
-        for y in range(h):
-            for xx in range(wd):
-                for o in range(oc):
-                    s = 0
-                    for i in range(ic):
-                        s += int(x[b, y, xx, i]) * int(w[i, 0, 0, o])
-                    acc[b, y, xx, o] = s
-    return acc
-
-
 def conv1x1_rank1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise float64 sums as in-order rank-1 updates: every output starts
     at +0 and adds x[..., i] * w[i, 0, 0, o] for i = 0, 1, ..., one float64

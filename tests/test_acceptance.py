@@ -8,13 +8,14 @@ from scipy.ndimage import maximum_filter
 
 from codenet import memsim, ops
 from codenet.detect import Detection, GroundTruth, ap50, decode, find_peaks
+from codenet.golden import ref_conv1x1, ref_dw3x3
 from codenet.graph import build_codenet, count_cost
 from codenet.memsim import MemConfig, ablation_table, gen_trace, roofline, simulate, table_speedups
 from codenet.ops import BOUNDED_INT, FREE_FRAC, SQUARE, ConvSpec, OffsetField
 from codenet.quant import QuantParams, RequantParams, dequantize, quantize, requantize
 from codenet.tensor import AccumTensor, FloatTensor, QuantTensor, Shape4
 
-from oracles import int_conv1x1_loop, int_dw_deform_loop, requant_float64
+from oracles import requant_float64
 
 BENCH_DIMS = (64, 64, 256, 256)
 BENCH_SEED = 1
@@ -142,7 +143,6 @@ def test_criterion_05_variant_collapse():
 
 def test_criterion_06_oracle_equivalence():
     rng = np.random.default_rng(6)
-    grid = np.array([(ky, kx) for ky in (-1, 0, 1) for kx in (-1, 0, 1)], dtype=np.int64)
 
     for trial in range(1000):  # conv1x1 vs scalar loop
         h = int(rng.integers(1, 5))
@@ -153,7 +153,7 @@ def test_criterion_06_oracle_equivalence():
         wts = _codes(rng, (ic, 1, 1, oc), 4)
         rp = _rand_rp(rng, oc)
         got = ops.conv1x1_q(_qt(x, 8), _qt(wts, 4), rp)
-        acc = int_conv1x1_loop(x, wts)
+        acc = ref_conv1x1(x, wts)
         want = requantize(AccumTensor(Shape4(1, h, w, oc), acc.astype(np.int32)), rp)
         assert np.array_equal(got.data, want.data)
 
@@ -167,15 +167,10 @@ def test_criterion_06_oracle_equivalence():
         rp = _rand_rp(rng, c)
         if rng.integers(0, 2):
             off = OffsetField(SQUARE, rng.integers(0, 8, size=(1, h, w)), lo=0, hi=7)
-            disp = ops.square_expand(off.data)[0]
-            dy, dx = disp[..., 0], disp[..., 1]
         else:
-            vals = rng.integers(-8, 8, size=(1, h, w, 9, 2))
-            off = OffsetField(BOUNDED_INT, vals, lo=-8, hi=7)
-            dy = vals[0, ..., 0] + grid[:, 0]
-            dx = vals[0, ..., 1] + grid[:, 1]
+            off = OffsetField(BOUNDED_INT, rng.integers(-8, 8, size=(1, h, w, 9, 2)), lo=-8, hi=7)
         got = ops.deform_conv_q(_qt(x, 8), _qt(wts, 4), off, spec, rp)
-        acc = int_dw_deform_loop(x, wts, dy, dx)
+        acc = ref_dw3x3(x, wts, off=off)
         want = requantize(AccumTensor(Shape4(1, h, w, c), acc.astype(np.int32)), rp)
         assert np.array_equal(got.data, want.data)
 

@@ -12,7 +12,7 @@ from codenet.graph import quantize_graph, run_inference
 from codenet.quant import QuantParams, RequantParams, quantize
 from codenet.tensor import QuantTensor, Shape4
 
-from conftest import make_calib_images, make_tiny_graph
+from conftest import make_calib_images, make_tiny_graph, set_requant_flag
 
 
 class TestI4Packing:
@@ -335,6 +335,18 @@ class TestMalformedContainers:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"node '{node}'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("chunk,node", [("pw", "pw"), ("dw/off", "dw")])
+    @pytest.mark.parametrize("flag", [0, 2])
+    def test_requant_flag_other_than_1_names_the_chunk(self, tmp_path, chunk, node, flag):
+        """Every qparams chunk carries requant parameters: a chunk whose flag
+        says otherwise fails to parse, naming its node and chunk."""
+        path = tmp_path / "q.cdnt"
+        save_graph(str(path), quantize_graph(make_tiny_graph(seed=20, deform=True), make_calib_images(16)))
+        set_requant_flag(path, chunk, flag)
+        with pytest.raises(ContainerError, match=rf"^node '{node}': quantization parameters '{chunk}': "
+                                                 rf"requant flag is {flag}, not 1$"):
+            load_graph(str(path))
 
     @pytest.mark.parametrize("precision,node,field,value", [
         ("fp32", "stem", "w_fp", np.nan),

@@ -5,6 +5,8 @@ import pytest
 
 from codenet import golden, ops
 
+from conftest import set_requant_flag
+
 # The six vectors `codenet golden generate --seed 1` writes, frozen in the
 # repository: a change that moves one byte of a reference, a kernel, the RNG
 # draws or the container format fails here.
@@ -13,6 +15,14 @@ FROZEN = Path(__file__).parent / "data" / "golden"
 
 def test_frozen_vectors_verify():
     assert golden.verify(str(FROZEN)) == []
+
+
+def test_a_vector_without_requant_parameters_is_unreadable(tmp_path):
+    for p in FROZEN.iterdir():
+        (tmp_path / p.name).write_bytes(p.read_bytes())
+    set_requant_flag(tmp_path / "golden_requantize.cdnt", "rp", 0)
+    assert golden.verify(str(tmp_path)) == [
+        "requantize: unreadable vector (quantization parameters 'rp': requant flag is 0, not 1)"]
 
 
 def test_generate_matches_the_frozen_vectors_byte_for_byte(tmp_path):

@@ -375,6 +375,22 @@ class TestCalibration:
         with pytest.raises(GraphError, match="node 'pw': fp32 weights and biases must be finite"):
             quantize_graph(g, make_calib_images(16, count=2))
 
+    @pytest.mark.parametrize("deform", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_image_is_named_before_any_pass(self, monkeypatch, deform, value):
+        # without the check, NaN failed at the first deformable node's offset
+        # range, or in calibrate with no image named
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a float pass ran")
+
+        monkeypatch.setattr(G, "run_inference_float", no_pass)
+        images = make_calib_images(16, count=3)
+        bad = images[1].data.copy()
+        bad[0, 5, 7, 2] = value
+        images[1] = FloatTensor(images[1].shape, bad)
+        with pytest.raises(GraphError, match=r"^calibration image 1 holds a value that is not finite$"):
+            quantize_graph(make_tiny_graph(seed=3, deform=deform), images)
+
     def test_image_order_does_not_change_parameters(self):
         g = make_tiny_graph(seed=3, deform=True)
         a, b, c = make_calib_images(16, count=3, seed=21)

@@ -13,6 +13,7 @@ from codenet.memsim import (ABLATION_BOUND, BASELINE_DRAM, LINE_BUFFER,
                             LINE_BUFFER_MULTIPORT, LLC, LLC_LINE, LLC_SETS, EngineConfig,
                             MemConfig, ablation_case, ablation_table, gen_trace, roofline,
                             row_to_csv, simulate, table_speedups)
+from codenet.graph import OFFSET_RANGE
 from codenet.ops import BOUNDED_INT, FREE_INT, SQUARE, ConvSpec, OffsetField
 
 from oracles import cache_cost_loop
@@ -116,8 +117,7 @@ class TestSimulate:
         return memsim.Trace(kind="dw", dims=DIMS, in_h=16, in_w=16, macs=macs,
                             deformable=False, square=False,
                             in_addr=np.array([], dtype=np.int64),
-                            in_row=np.array([], dtype=np.int64),
-                            in_out_row=np.array([], dtype=np.int64),
+                            in_row_lead=np.array([], dtype=np.int64),
                             in_bytes=16, off_bytes_per_pos=0, weight_bytes=0,
                             out_bytes_per_pos=16)
 
@@ -182,6 +182,66 @@ class TestSimulate:
         trace = gen_trace(_dw_spec(), None, DIMS)
         rep = simulate(trace, MemConfig(design=LINE_BUFFER, line_buffer_rows=3))
         assert rep.latency_ms == pytest.approx(rep.cycles / 250e6 * 1e3)
+
+
+RULE_DIMS = (32, 32, 16, 16)
+
+
+def _rule_trace(mode, lo, hi, seed=0):
+    """A dw trace on a RULE_DIMS map with offsets of ``mode`` drawn uniformly
+    from [lo, hi] (None: no offsets)."""
+    h, w, _, _ = RULE_DIMS
+    rng = np.random.default_rng([seed, lo + 8, hi + 8])
+    if mode == SQUARE:
+        off = OffsetField(SQUARE, rng.integers(lo, hi + 1, size=(1, h, w)), lo=lo, hi=hi)
+    else:
+        off = None if mode is None else _bounded(rng, h, w, lo, hi)
+    return gen_trace(_dw_spec(), off, RULE_DIMS)
+
+
+def _violations(trace, rows):
+    """Reads that fall behind a line buffer of ``rows`` rows: each costs one
+    more ``in_bytes`` of DRAM beyond the one fill of the map."""
+    rep = simulate(trace, MemConfig(design=LINE_BUFFER, line_buffer_rows=rows))
+    return (rep.input_dram_bytes - trace.in_h * trace.in_w * trace.in_bytes) // trace.in_bytes
+
+
+def _fewest_rows(trace):
+    rows = 1
+    while _violations(trace, rows):
+        rows += 1
+    return rows
+
+
+RULE_CASES = ([(None, 0, 0)] + [(BOUNDED_INT, 0, n) for n in range(8)] + [(SQUARE, 0, n) for n in range(8)]
+              + [(BOUNDED_INT, *OFFSET_RANGE), (BOUNDED_INT, -3, 2)])
+
+
+class TestWindowRows:
+    @pytest.mark.parametrize("mode,lo,hi", RULE_CASES)
+    def test_rule_is_the_fewest_rows_without_a_violation(self, mode, lo, hi):
+        assert ops.window_rows(mode, lo, hi) == _fewest_rows(_rule_trace(mode, lo, hi))
+
+    @pytest.mark.parametrize("mode,lo,hi,rows", [
+        (None, 0, 7, 3), (BOUNDED_INT, 0, 7, 10), (SQUARE, 0, 7, 15), (BOUNDED_INT, -8, 7, 18),
+        (BOUNDED_INT, 0, 0, 3), (SQUARE, 0, 1, 3), (SQUARE, 0, 0, 1), (BOUNDED_INT, -3, 2, 8)])
+    def test_row_counts(self, mode, lo, hi, rows):
+        assert ops.window_rows(mode, lo, hi) == rows
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_ablation_buffers_follow_the_bound(self, monkeypatch, n):
+        monkeypatch.setattr(memsim, "ABLATION_BOUND", n)
+        rows = {op: memsim._ablation_mem(op, False, 1).line_buffer_rows for op in ("default", "bound", "square")}
+        assert rows == {"default": 3, "bound": n + 3, "square": 2 * n + 1}
+
+    def test_ablation_and_default_buffers(self):
+        rows = {op: ablation_case(f"dw_{op}", DIMS, 1)[1][0].line_buffer_rows for op in ("default", "bound", "square")}
+        assert ABLATION_BOUND == 7 and rows == {"default": 3, "bound": 10, "square": 15}
+        assert MemConfig().line_buffer_rows == 15
+
+    def test_network_range_needs_18_rows(self):
+        trace = _rule_trace(BOUNDED_INT, *OFFSET_RANGE, seed=1)
+        assert _violations(trace, 17) > 0 and _violations(trace, 18) == 0
 
 
 class TestRoofline:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from codenet import ops
+from codenet.golden import ref_conv1x1, ref_dw3x3
 from codenet.graph import _float_conv1x1
 from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
                          OffsetField, bilinear_sample, conv1x1_q, conv_ref,
@@ -18,8 +19,7 @@ from codenet.ops import (BOUNDED_INT, FREE_FRAC, FREE_INT, SQUARE, ConvSpec,
 from codenet.quant import RequantParams, derive_requant, requantize
 from codenet.tensor import FloatTensor, QuantTensor, Shape4
 
-from oracles import (bilinear_formula, conv2d_loop, deform_dw_loop, int_conv1x1_loop,
-                     int_dw_deform_loop, requant_float64)
+from oracles import bilinear_formula, conv2d_loop, deform_dw_loop, requant_float64
 
 RNG = np.random.default_rng(2024)
 
@@ -406,7 +406,7 @@ class TestIntegerKernels:
             bias = rng.integers(-5, 6, size=oc)
             rp = RequantParams(mult, shift, bias, out_delta=1.0)
             got = conv1x1_q(_qt(x, 8), _qt(w, 4), rp)
-            acc = int_conv1x1_loop(x, w)
+            acc = ref_conv1x1(x, w)
             want = np.clip((acc * mult + (np.int64(1) << (shift - 1))) // (np.int64(1) << shift) + bias,
                            -127, 127)
             assert np.array_equal(got.data.astype(np.int64), want)
@@ -586,7 +586,7 @@ class TestExactAccumulation:
         w = _extreme_codes((24, 1, 1, 10), 4, rng)
         x[0, 0, 0], w[:, 0, 0, 0] = 127, 7  # output (0, 0, 0) sums 24 products of 889
         got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(1))
-        want = int_conv1x1_loop(x.astype(np.int64), w.astype(np.int64))
+        want = ref_conv1x1(x, w)
         assert seen == [np.float32]
         assert np.array_equal(got.data, want) and got.data[0, 0, 0, 0] == 24 * 889
 
@@ -645,8 +645,7 @@ class TestExactAccumulation:
         vals = rng.integers(-3, 4, size=(1, 7, 8, 9, 2))
         off = OffsetField(BOUNDED_INT, vals, lo=-3, hi=3)
         got = ops.conv_acc(_qt(x, 8), _qt(w, 4), ConvSpec(3, 1, True), off)
-        disp = ops.TAPS + vals[0]
-        want = int_dw_deform_loop(x, w, disp[..., 0], disp[..., 1])
+        want = ref_dw3x3(x, w, off=off)
         assert np.array_equal(got.data, want)
 
 
