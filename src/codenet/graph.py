@@ -271,8 +271,8 @@ def _out_shapes(g: NetworkGraph) -> dict[str, tuple[int, int, int]]:
                 raise ValueError(f"{n.kind} needs ic and oc of at least 1, got {n.ic} and {n.oc}")
             if n.deformable and n.offset_mode not in (ops.BOUNDED_INT, ops.SQUARE):
                 raise ValueError(f"unsupported offset mode {n.offset_mode!r}")
-            if n.deformable and n.offset_lo > n.offset_hi:
-                raise ValueError(f"empty offset range [{n.offset_lo},{n.offset_hi}]")
+            if n.deformable:  # raises on a range the op's clamp empties (square: [max(lo, 0), hi])
+                ops.window_rows(n.offset_mode, n.offset_lo, n.offset_hi)
             if n.deformable and n.offset_path not in ops.OFFSET_PATHS:
                 raise ValueError(f"unknown offset path {n.offset_path!r}")
             for src in n.inputs:

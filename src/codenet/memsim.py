@@ -19,8 +19,13 @@ Four designs are modeled:
                          guarantee taps spread over three rows, so three
                          reads per cycle are conflict free)
 
-A line buffer of ops.window_rows rows serves every read: hi - lo + 3 for
-bounded offsets in [lo, hi], 2 hi + 1 for square ones, 3 without offsets.
+A Trace holds what simulate cannot derive: the conv's spec, its input dims,
+its offset mode and, per sampled in-map pixel, the byte address and the row
+lead (the sampled row minus the window's center row, y * stride). The engine
+kind, MACs and weight, offset and output bytes follow from the first three.
+A line buffer of ops.window_rows rows serves every read at any stride: hi -
+lo + 3 for bounded offsets in [lo, hi], 2 hi + 1 for square ones, 3 without
+offsets.
 
 The cache uses pseudo-random replacement driven by a seeded 16-bit LFSR, so
 identical seeds give identical hit/miss sequences. Where the LFSR's choice
@@ -124,25 +129,15 @@ def engine_work(spec: ConvSpec, dims: tuple[int, int, int, int]) -> tuple[str, i
 
 @dataclass(frozen=True)
 class Trace:
-    """Logical access trace of one convolution kernel.
+    """Logical access trace of one convolution: an entry per sampled input
+    block (all ``ic`` channels of one pixel) in the map; out-of-map samples
+    read zero and emit no access."""
 
-    ``in_addr`` holds one entry per sampled input block (all channels of one
-    pixel, ``ic`` bytes); out-of-map samples read zero and emit no access.
-    """
-
-    kind: str                 # '1x1' | 'dw' | 'full'
-    dims: tuple[int, int, int, int]
-    in_h: int
-    in_w: int
-    macs: int
-    deformable: bool
-    square: bool
-    in_addr: np.ndarray       # int64 byte addresses
-    in_row_lead: np.ndarray   # sampled input row minus the output row, per access
-    in_bytes: int             # bytes per input access (= ic)
-    off_bytes_per_pos: int    # 18 free / 1 square / 0 none
-    weight_bytes: int
-    out_bytes_per_pos: int
+    spec: ConvSpec
+    dims: tuple[int, int, int, int]  # input h, w, ic and output channels oc
+    mode: str | None                 # offset mode, None without offsets
+    in_addr: np.ndarray              # int64 byte addresses
+    in_row_lead: np.ndarray          # sampled input row minus the window's center row, per access
 
 
 def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int, int]) -> Trace:
@@ -155,29 +150,16 @@ def gen_trace(spec: ConvSpec, off: OffsetField | None, dims: tuple[int, int, int
     if off is not None and spec.kernel != 3:
         raise ValueError("offsets only apply to 3x3 kernels")
     oh, ow = spec.out_hw(h, w)
-    kind, macs, weights = engine_work(spec, (oh, ow, ic, oc))
     if off is not None and off.mode == FREE_FRAC:
         raise ValueError("trace generation needs integer offsets")
     if off is not None and off.spatial != (1, oh, ow):
         raise ValueError("offset field must cover the output with batch 1")
     iy, ix = (p[0] for p in tap_positions(off, spec, oh, ow))
     valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    addr = (iy * w + ix) * ic
-    return Trace(
-        kind=kind,
-        dims=(oh, ow, ic, oc),
-        in_h=h,
-        in_w=w,
-        macs=macs,
-        deformable=off is not None,
-        square=off is not None and off.mode == SQUARE,
-        in_addr=addr[valid].astype(np.int64, copy=False),
-        in_row_lead=(iy - np.arange(oh)[:, None, None])[valid].astype(np.int64, copy=False),
-        in_bytes=ic,
-        off_bytes_per_pos=0 if off is None else offset_channels(off.mode),
-        weight_bytes=(weights + 1) // 2,
-        out_bytes_per_pos=oc,
-    )
+    lead = iy - (np.arange(oh) * spec.stride)[:, None, None]
+    return Trace(spec, dims, None if off is None else off.mode,
+                 ((iy * w + ix) * ic)[valid].astype(np.int64, copy=False),
+                 lead[valid].astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,6 @@ class SimReport:
     cycles: int
     latency_ms: float
     gops: float
-    peak_gops: float
     dram_bytes_read: int
     dram_bytes_written: int
     input_dram_bytes: int
@@ -343,7 +324,7 @@ def _replay(operation: str, dims: tuple[int, int, int, int], seed: int) -> tuple
     """The _stream_key and the replayed counts of one ablation operation's LLC
     stream, as a pool worker computes them."""
     trace, mems = ablation_case(operation, dims, seed)
-    addrs, nbytes, llc_seed = trace.in_addr, trace.in_bytes, mems[1].llc_seed
+    addrs, nbytes, llc_seed = trace.in_addr, trace.dims[2], mems[1].llc_seed
     return (_stream_key(addrs, nbytes, llc_seed),
             _lfsr_counts(addrs // LLC_LINE, (addrs + nbytes - 1) // LLC_LINE, llc_seed))
 
@@ -375,35 +356,32 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
     the design only changes how sampled inputs are served.
     """
     eng = eng or EngineConfig()
-    if mem.design == LINE_BUFFER_MULTIPORT and trace.deformable and not trace.square:
+    if mem.design == LINE_BUFFER_MULTIPORT and trace.mode not in (None, SQUARE):
         raise ValueError("multiport buffering requires square-mode offsets")
-    oh, ow, _, _ = trace.dims
-    if trace.macs == 0 and trace.in_addr.size == 0:
-        return SimReport(0, 0.0, 0.0, eng.peak_gops(trace.kind), 0, 0, 0, 0, 0, 0, 0, 0, 0)
-
-    compute = math.ceil(trace.macs / eng.rate(trace.kind))
+    h, w, ic, oc = trace.dims
+    oh, ow = trace.spec.out_hw(h, w)
+    kind, macs, weights = engine_work(trace.spec, (oh, ow, ic, oc))
+    compute = math.ceil(macs / eng.rate(kind))
 
     # Streams shared by every design.
-    off_total = trace.off_bytes_per_pos * oh * ow
-    out_total = trace.out_bytes_per_pos * oh * ow
+    weight_bytes = (weights + 1) // 2
+    off_bytes = 0 if trace.mode is None else offset_channels(trace.mode)  # per output position
+    off_total = off_bytes * oh * ow
+    out_total = oc * oh * ow
     stream_cycles = (
-        _stream_cost(off_total, ow * max(trace.off_bytes_per_pos, 1))
-        + _stream_cost(trace.weight_bytes, trace.weight_bytes)
-        + _stream_cost(out_total, ow * trace.out_bytes_per_pos)
+        _stream_cost(off_total, ow * max(off_bytes, 1))
+        + _stream_cost(weight_bytes, weight_bytes)
+        + _stream_cost(out_total, ow * oc)
     )
-    dram_read = off_total + trace.weight_bytes
-    dram_written = out_total
 
-    llc_hits = llc_misses = 0
-    buffer_hits = 0
-    stalls = 0
+    llc_hits = llc_misses = buffer_hits = stalls = 0
 
     if mem.design == BASELINE_DRAM:
         n = int(trace.in_addr.size)
-        input_cycles = n * _request_cycles(trace.in_bytes)
-        input_bytes = n * trace.in_bytes
+        input_cycles = n * _request_cycles(ic)
+        input_bytes = n * ic
     elif mem.design == LLC:
-        input_cycles, llc_hits, llc_misses = _cache_cost(trace.in_addr, trace.in_bytes, mem.llc_seed)
+        input_cycles, llc_hits, llc_misses = _cache_cost(trace.in_addr, ic, mem.llc_seed)
         input_bytes = llc_misses * LLC_LINE
     else:
         # Line buffer: every input row is streamed into the buffer exactly
@@ -413,18 +391,17 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
         resident = lead > reach - mem.line_buffer_rows
         violations = int((~resident).sum())
         buffer_hits = int(resident.sum())
-        row_bytes = trace.in_bytes * trace.in_w
-        fill_bytes = trace.in_h * row_bytes
+        row_bytes = ic * w
+        fill_bytes = h * row_bytes
         if mem.llc_routed:
-            row_addrs = np.arange(trace.in_h, dtype=np.int64) * row_bytes
+            row_addrs = np.arange(h, dtype=np.int64) * row_bytes
             fill_cycles, llc_hits, llc_misses = _cache_cost(row_addrs, row_bytes, mem.llc_seed)
         else:
             fill_cycles = _stream_cost(fill_bytes, row_bytes)
-        viol_cycles = violations * _request_cycles(trace.in_bytes)
-        input_cycles = fill_cycles + viol_cycles
-        input_bytes = fill_bytes + violations * trace.in_bytes
-        if trace.deformable:
-            words = buffer_hits * math.ceil(trace.in_bytes / BUFFER_PORT_BYTES)
+        input_cycles = fill_cycles + violations * _request_cycles(ic)
+        input_bytes = fill_bytes + violations * ic
+        if trace.mode is not None:
+            words = buffer_hits * math.ceil(ic / BUFFER_PORT_BYTES)
             ports = 3 if mem.design == LINE_BUFFER_MULTIPORT else 1
             feed = math.ceil(words * BUFFER_HIT_CYCLES / ports)
             stalls = max(0, feed - compute)
@@ -432,22 +409,19 @@ def simulate(trace: Trace, mem: MemConfig, eng: EngineConfig | None = None) -> S
     memory = input_cycles + stream_cycles
     cycles = max(compute, memory) + stalls + math.ceil(OVERLAP * min(compute, memory))
     clock_hz = eng.clock_mhz * 1e6
-    latency_ms = cycles / clock_hz * 1e3
-    gops = 2.0 * trace.macs / (cycles / clock_hz) / 1e9 if cycles else 0.0
     return SimReport(
         cycles=cycles,
-        latency_ms=latency_ms,
-        gops=gops,
-        peak_gops=eng.peak_gops(trace.kind),
-        dram_bytes_read=dram_read + input_bytes,
-        dram_bytes_written=dram_written,
+        latency_ms=cycles / clock_hz * 1e3,
+        gops=2.0 * macs / (cycles / clock_hz) / 1e9,
+        dram_bytes_read=off_total + weight_bytes + input_bytes,
+        dram_bytes_written=out_total,
         input_dram_bytes=input_bytes,
         input_cycles=input_cycles,
         llc_hits=llc_hits,
         llc_misses=llc_misses,
         buffer_hits=buffer_hits,
         stalls=stalls,
-        macs=trace.macs,
+        macs=macs,
     )
 
 

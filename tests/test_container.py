@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from codenet import cli
+from codenet import cli, ops
 from codenet.container import (Chunk, CHUNK_DESCRIPTOR, ContainerError, DTYPE_F32,
                                DTYPE_I4, image_to_float, load_graph, pack_i4,
                                parse_tensor, read_container, read_image, save_graph,
@@ -246,6 +246,23 @@ class TestMalformedContainers:
             load_graph(bad)
         assert cli.main(["infer", bad, image]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_empty_square_range_exits_1(self, tmp_path, capsys):
+        """A square node whose range [-8, -1] clamps to the empty [0, -1]
+        saves (save_graph does not lint) but fails to load, before
+        calibration would reach it."""
+        g = make_tiny_graph(seed=18, deform=True, offset_mode=ops.SQUARE)
+        g.node("dw").offset_hi = -1
+        bad = str(tmp_path / "empty-range.cdnt")
+        save_graph(bad, g)
+        with pytest.raises(ContainerError, match=r"^node 'dw': empty offset range \[0,-1\]$"):
+            load_graph(bad)
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        write_image(str(calib / "0.img"), np.zeros((16, 16, 3), dtype=np.uint8))
+        assert cli.main(["quantize", bad, str(tmp_path / "out.cdnt"), "--calib", str(calib)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: node 'dw': empty offset range [0,-1]\n"
 
     @pytest.mark.parametrize("precision,pattern,repl,field", [
         ("w4a8", r"^input_delta .*$", "input_delta nan", "input_delta"),

@@ -99,12 +99,20 @@ class TestBuild:
         ("offset_mode", ops.FREE_INT, "offset mode"),
         ("offset_lo", 8, "empty offset range"),
         ("offset_path", "bogus", "offset path"),
+        ("offset_hi", -1, r"^node 'dw': empty offset range \[0,-1\]$"),
     ])
     def test_linter_rejects_deformable_settings(self, field, value, match):
-        g = make_tiny_graph(deform=True)
+        # square offsets, whose range [lo, hi] the op clamps to [max(lo, 0), hi]
+        g = make_tiny_graph(deform=True, offset_mode=ops.SQUARE)
         setattr(g.node("dw"), field, value)
         with pytest.raises(GraphError, match=match):
             g.lint()
+
+    def test_linter_keeps_a_negative_bounded_range(self):
+        # bounded offsets take [-8, -1] as it is, so only square ones empty it
+        g = make_tiny_graph(deform=True)
+        g.node("dw").offset_hi = -1
+        g.lint()
 
     @pytest.mark.parametrize("node,ic", [("stem", 4), ("pw", 16)])
     def test_linter_rejects_ic_other_than_the_input_channels(self, node, ic):

@@ -11,10 +11,10 @@ import pytest
 from codenet import memsim, ops
 from codenet.memsim import (ABLATION_BOUND, BASELINE_DRAM, LINE_BUFFER,
                             LINE_BUFFER_MULTIPORT, LLC, LLC_LINE, LLC_SETS, EngineConfig,
-                            MemConfig, ablation_case, ablation_table, gen_trace, roofline,
-                            row_to_csv, simulate, table_speedups)
+                            MemConfig, ablation_case, ablation_table, engine_work, gen_trace,
+                            roofline, row_to_csv, simulate, table_speedups)
 from codenet.graph import OFFSET_RANGE
-from codenet.ops import BOUNDED_INT, FREE_INT, SQUARE, ConvSpec, OffsetField
+from codenet.ops import BOUNDED_INT, FREE_INT, SQUARE, ConvSpec, OffsetField, offset_channels
 
 from oracles import cache_cost_loop
 
@@ -48,8 +48,9 @@ class TestGenTrace:
         free = gen_trace(_dw_spec(), _bounded(rng, 16, 16), DIMS)
         d = OffsetField(SQUARE, rng.integers(0, 8, size=(1, 16, 16)), lo=0, hi=7)
         sq = gen_trace(_dw_spec(), d, DIMS)
-        assert free.off_bytes_per_pos == 18
-        assert sq.off_bytes_per_pos == 1
+        assert (free.mode, sq.mode) == (BOUNDED_INT, SQUARE)
+        assert offset_channels(free.mode) == 18
+        assert offset_channels(sq.mode) == 1
 
     def test_trace_replay_oracle(self):
         # recompute the address multiset independently from the same offsets
@@ -70,8 +71,24 @@ class TestGenTrace:
     def test_macs(self):
         full = gen_trace(ConvSpec(3, 1, False), None, (8, 8, 4, 6))
         dw = gen_trace(_dw_spec(), None, (8, 8, 4, 4))
-        assert full.macs == 8 * 8 * 9 * 4 * 6
-        assert dw.macs == 8 * 8 * 9 * 4
+        assert (full.dims, dw.dims) == ((8, 8, 4, 6), (8, 8, 4, 4))
+        assert engine_work(full.spec, full.dims) == ("full", 8 * 8 * 9 * 4 * 6, 9 * 4 * 6)
+        assert engine_work(dw.spec, dw.dims) == ("dw", 8 * 8 * 9 * 4, 9 * 4)
+        mem = MemConfig(design=BASELINE_DRAM)
+        assert (simulate(full, mem).macs, simulate(dw, mem).macs) == (8 * 8 * 9 * 4 * 6, 8 * 8 * 9 * 4)
+
+    @pytest.mark.parametrize("spec,dims", [(ConvSpec(3, 2, True), (64, 64, 116, 116)),
+                                           (ConvSpec(3, 4, False), (32, 32, 3, 24))])
+    def test_strided_lead_is_from_the_window_center(self, spec, dims):
+        # output row y's window is centered on input row y * stride, so a
+        # regular strided conv reads one row above and below it and a
+        # 3-row buffer serves every read
+        trace = gen_trace(spec, None, dims)
+        h, w, ic, _ = dims
+        assert set(np.unique(trace.in_row_lead).tolist()) == {-1, 0, 1}
+        rep = simulate(trace, MemConfig(design=LINE_BUFFER, line_buffer_rows=ops.window_rows(None, 0, 0)))
+        assert rep.buffer_hits == trace.in_addr.size
+        assert rep.input_dram_bytes == h * w * ic
 
 
 class TestSimulate:
@@ -112,25 +129,19 @@ class TestSimulate:
             simulate(trace, MemConfig(design=LINE_BUFFER_MULTIPORT))
 
     @staticmethod
-    def _no_samples(macs: int) -> memsim.Trace:
-        """A dw trace at DIMS whose every sample falls outside the map."""
-        return memsim.Trace(kind="dw", dims=DIMS, in_h=16, in_w=16, macs=macs,
-                            deformable=False, square=False,
-                            in_addr=np.array([], dtype=np.int64),
-                            in_row_lead=np.array([], dtype=np.int64),
-                            in_bytes=16, off_bytes_per_pos=0, weight_bytes=0,
-                            out_bytes_per_pos=16)
-
-    def test_zero_trace(self):
-        rep = simulate(self._no_samples(0), MemConfig(design=BASELINE_DRAM))
-        assert rep.cycles == 0
-        assert rep.dram_bytes_read == 0 and rep.dram_bytes_written == 0
+    def _no_samples() -> memsim.Trace:
+        """A dw trace at DIMS whose every sample falls outside the map: each
+        tap is displaced 17 rows down a 16-row map."""
+        h, w, _, _ = DIMS
+        trace = gen_trace(_dw_spec(), OffsetField(FREE_INT, np.full((1, h, w, 9, 2), h + 1)), DIMS)
+        assert trace.in_addr.size == trace.in_row_lead.size == 0
+        return trace
 
     def test_empty_llc_trace_with_macs(self):
         # the LLC prices no request, the engines still compute
-        rep = simulate(self._no_samples(1000), MemConfig(design=LLC))
+        rep = simulate(self._no_samples(), MemConfig(design=LLC))
         assert (rep.llc_hits, rep.llc_misses, rep.input_cycles, rep.input_dram_bytes) == (0, 0, 0, 0)
-        assert rep.cycles > 0 and rep.macs == 1000
+        assert rep.cycles > 0 and rep.macs == 16 * 16 * 9 * 16
 
     @pytest.mark.parametrize("rows", [0, -3])
     def test_line_buffer_needs_a_row(self, rows):
@@ -176,7 +187,7 @@ class TestSimulate:
             rep = simulate(trace, mem, eng)
             clock = eng.clock_mhz * 1e6
             assert rep.gops == pytest.approx(2 * rep.macs / (rep.cycles / clock) / 1e9)
-            assert rep.gops <= rep.peak_gops + 1e-9
+            assert rep.gops <= eng.peak_gops("dw") + 1e-9
 
     def test_latency_is_cycles_over_clock(self):
         trace = gen_trace(_dw_spec(), None, DIMS)
@@ -201,9 +212,10 @@ def _rule_trace(mode, lo, hi, seed=0):
 
 def _violations(trace, rows):
     """Reads that fall behind a line buffer of ``rows`` rows: each costs one
-    more ``in_bytes`` of DRAM beyond the one fill of the map."""
+    more ``ic`` bytes of DRAM beyond the one fill of the map."""
     rep = simulate(trace, MemConfig(design=LINE_BUFFER, line_buffer_rows=rows))
-    return (rep.input_dram_bytes - trace.in_h * trace.in_w * trace.in_bytes) // trace.in_bytes
+    h, w, ic, _ = trace.dims
+    return (rep.input_dram_bytes - h * w * ic) // ic
 
 
 def _fewest_rows(trace):
@@ -298,7 +310,7 @@ class TestAblation:
     def test_default_full_gops_near_peak(self, rows):
         by = {(r.operation, r.llc): r.report for r in rows}
         rep = by[("full_default", False)]
-        assert rep.gops >= 0.85 * rep.peak_gops
+        assert rep.gops >= 0.85 * EngineConfig().peak_gops("full")
 
     def test_same_seed_bit_identical(self, rows):
         again = ablation_table((64, 64, 256, 256), seed=1)
@@ -466,8 +478,8 @@ class TestCacheCostOracle:
     @pytest.mark.parametrize("op", ["dw_deform", "full_deform"])
     def test_paper_deform_trace(self, op):
         trace, _ = ablation_case(op, (64, 64, 256, 256), seed=4)
-        assert (memsim._cache_cost(trace.in_addr, trace.in_bytes, 5)
-                == cache_cost_loop(trace.in_addr, trace.in_bytes, 5))
+        assert (memsim._cache_cost(trace.in_addr, trace.dims[2], 5)
+                == cache_cost_loop(trace.in_addr, trace.dims[2], 5))
 
 
 MAP4X = (128, 128, 256, 256)  # 4 MiB of input: the deform rows overflow the LLC
@@ -498,7 +510,7 @@ class TestReplayWorkers:
             trace, mems = ablation_case(op, MAP4X, seed)
             report = next(r.report for r in forked if r.operation == op and r.llc)
             assert ((report.input_cycles, report.llc_hits, report.llc_misses)
-                    == cache_cost_loop(trace.in_addr, trace.in_bytes, mems[1].llc_seed))
+                    == cache_cost_loop(trace.in_addr, trace.dims[2], mems[1].llc_seed))
 
     def test_paper_grid_starts_no_process(self, cpus, monkeypatch):
         def start(process):
